@@ -26,7 +26,7 @@ Parser::Parser(int argc, char** argv, int first) {
     if (eq != std::string::npos) {
       kv_[normalize(tok.substr(0, eq))] = tok.substr(eq + 1);
     } else if (dashed) {
-      kv_[normalize(tok)] = "1";  // bare boolean flag
+      kv_.insert_or_assign(normalize(tok), std::string("1"));  // bare boolean flag
     } else {
       positionals_.push_back(std::move(tok));
     }

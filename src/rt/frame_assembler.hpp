@@ -7,9 +7,9 @@
 // asks the caller (via on_header) where the payload bytes should land —
 // a BML buffer, heap memory, or nowhere (an oversize bounce swallows them) —
 // and fires on_frame once the payload is complete. Header decoding,
-// validation, counters, and dispatch all stay in the caller, so the blocking
-// receiver path (feed_bytes, non-pollable streams) reuses the identical
-// byte-for-byte decode by pumping the same feed() from read_exact chunks.
+// validation, counters, and dispatch all stay in the caller. The server's
+// lanes feed it from read_some chunks, and IonServer::feed_bytes (the fuzz
+// entry point) feeds it a whole byte span at once through the same path.
 #pragma once
 
 #include <algorithm>
@@ -33,14 +33,6 @@ class FrameAssembler {
     std::uint64_t len = 0;
     std::byte* dest = nullptr;
   };
-
-  // Bytes required to finish the current unit (header or payload). Never 0:
-  // a zero-length payload completes inside feed() without a new read. Used
-  // by the blocking receiver to size its next read_exact.
-  [[nodiscard]] std::size_t needed() const {
-    if (!in_payload_) return FrameHeader::kWireSize - have_;
-    return static_cast<std::size_t>(sink_.len - filled_);
-  }
 
   // Drop any partial frame (connection teardown / reuse).
   void reset() {

@@ -120,8 +120,8 @@ IonServer::IonServer(std::unique_ptr<IoBackend> backend, ServerConfig cfg)
       c_replies_sent_(reg_->counter("server.reply.sent")),
       c_reply_queue_full_(reg_->counter("server.reply.queue_full")),
       c_reply_peer_gone_(reg_->counter("server.reply.peer_gone")),
-      c_reply_sync_fallback_(reg_->counter("server.reply.sync_fallback")),
       c_reply_copy_bytes_(reg_->counter("server.reply.payload_copy_bytes")),
+      c_refused_(reg_->counter("server.rt.refused")),
       h_write_lat_us_(reg_->histogram("server.write_latency_us")),
       h_read_lat_us_(reg_->histogram("server.read_latency_us")),
       h_queue_wait_us_(reg_->histogram("server.sched.queue_wait_us")),
@@ -165,7 +165,7 @@ void IonServer::ensure_lanes_locked() {
   const int n = cfg_.recv_lanes > 0 ? cfg_.recv_lanes : default_recv_lanes();
   for (int i = 0; i < n; ++i) {
     auto lane = std::make_unique<Lane>(*reg_, i);
-    if (!lane->loop.valid()) break;  // out of fds: serve() falls back to threads
+    if (!lane->loop.valid()) break;  // out of fds: serve() refuses until a retry succeeds
     lanes_.push_back(std::move(lane));
   }
   for (auto& lane : lanes_) {
@@ -181,14 +181,12 @@ void IonServer::serve(std::unique_ptr<ByteStream> stream) {
     conn->stream->close();
     return;
   }
-  conns_.push_back(conn);
   conn->rfd = conn->stream->read_readiness_fd();
   // Resolve the write shim up front: InProcPipe creates its eventfd lazily,
   // and doing it here (single-threaded, pre-traffic) keeps the hot path free
   // of setup work.
   conn->wfd = conn->stream->write_readiness_fd();
-  const int rfd = conn->rfd;
-  if (rfd >= 0) {
+  if (conn->rfd >= 0 && conn->wfd >= 0) {
     ensure_lanes_locked();
     if (!lanes_.empty()) {
       // Least-connections balancing across the lane pool (the paper's
@@ -208,56 +206,34 @@ void IonServer::serve(std::unique_ptr<ByteStream> stream) {
         lane->conns.emplace(key, conn);
       }
       lane->n_conns.fetch_add(1, std::memory_order_relaxed);
-      if (lane->loop.add(rfd, key).is_ok()) {
+      if (lane->loop.add(conn->rfd, key).is_ok()) {
+        conns_.push_back(conn);
         lane->c_connections.inc();
         lane->g_open_connections.set(
             static_cast<std::int64_t>(lane->n_conns.load(std::memory_order_relaxed)));
         return;
       }
-      // Registration failed (fd limit?): unwind and fall back to a thread.
+      // Registration failed (fd limit?): unwind before refusing.
       {
         std::scoped_lock lane_lock(lane->mu);
         lane->conns.erase(key);
       }
       lane->n_conns.fetch_sub(1, std::memory_order_relaxed);
-      conn->lane = nullptr;
     }
   }
-  threads_.emplace_back([this, conn] { blocking_receiver_loop(conn); });
+  // No lane can take this stream (no readiness fd, or no epoll/eventfd fds
+  // left): refuse it. Closing wakes a peer blocked reading for a reply.
+  c_refused_.inc();
+  conn->stream->close();
 }
 
-namespace {
-
-// In-memory one-shot stream for feed_bytes: reads drain a fixed buffer then
-// report EOF; writes (replies) are swallowed. No locking — feed_bytes runs
-// the receiver inline and workers only ever write_all, which is a no-op.
-class ScriptedStream final : public ByteStream {
- public:
-  explicit ScriptedStream(std::span<const std::byte> bytes) : bytes_(bytes) {}
-
-  Status read_exact(void* buf, std::size_t n) override {
-    if (closed_.load(std::memory_order_relaxed) || bytes_.size() - pos_ < n) {
-      return Status(Errc::shutdown, "script exhausted");
-    }
-    std::memcpy(buf, bytes_.data() + pos_, n);
-    pos_ += n;
-    return Status::ok();
-  }
-  Status write_all(const void*, std::size_t) override { return Status::ok(); }
-  void close() override { closed_.store(true, std::memory_order_relaxed); }
-
- private:
-  std::span<const std::byte> bytes_;
-  std::size_t pos_ = 0;
-  std::atomic<bool> closed_{false};
-};
-
-}  // namespace
-
 void IonServer::feed_bytes(std::span<const std::byte> bytes) {
+  // A stream-less connection whose peer is already gone: every reply is
+  // still fully built in enqueue_reply, then dropped as peer_gone.
   auto conn = std::make_shared<ClientConn>();
-  conn->stream = std::make_unique<ScriptedStream>(bytes);
-  blocking_receiver_loop(std::move(conn));
+  conn->peer_gone = true;
+  (void)on_bytes(conn, bytes);
+  conn->rx = RxPending{};  // a partial frame's BML lease returns now
 }
 
 void IonServer::serve_listener(std::unique_ptr<Listener> listener) {
@@ -365,7 +341,6 @@ ServerStats IonServer::stats() const {
   s.replies_sent = c_replies_sent_.value();
   s.reply_queue_full = c_reply_queue_full_.value();
   s.reply_peer_gone = c_reply_peer_gone_.value();
-  s.reply_sync_fallback = c_reply_sync_fallback_.value();
   s.reply_payload_copy_bytes = c_reply_copy_bytes_.value();
   s.qos_throttled_ops = reg_->counter("server.qos.throttled_ops").value();
   s.qos_admitted_bytes = reg_->counter("server.qos.admitted_bytes").value();
@@ -519,7 +494,7 @@ void IonServer::drop_lane_conn(Lane& lane, std::uint64_t key, ClientConn& conn, 
     abort_send_queue_locked(conn);
   }
   // Dropping a client (corrupt header, protocol violation, peer EOF) must
-  // close our endpoint too: an in-process peer blocked in read_exact only
+  // close our endpoint too: an in-process peer blocked in a read only
   // wakes when the shared pipe is marked closed — without this, a client
   // waiting for a reply to its (corrupted, never-executed) request would
   // hang instead of redialing.
@@ -537,21 +512,6 @@ void IonServer::drop_lane_conn(Lane& lane, std::uint64_t key, ClientConn& conn, 
         static_cast<std::int64_t>(lane.n_conns.load(std::memory_order_relaxed)));
     if (fr_) fr_->record("lane_drop", lane.index, 0, 0, static_cast<int>(reason));
   }
-}
-
-void IonServer::blocking_receiver_loop(std::shared_ptr<ClientConn> conn) {
-  // Fallback for streams without a readiness fd (feed_bytes' scripted
-  // stream, exotic transports): same assembler, same callbacks, same bytes —
-  // just pumped by blocking reads of exactly what the state machine needs.
-  std::vector<std::byte> scratch(64 * 1024);
-  while (!stopping_) {
-    const std::size_t need = std::min(conn->assembler.needed(), scratch.size());
-    if (!conn->stream->read_exact(scratch.data(), need).is_ok()) break;
-    if (!on_bytes(conn, std::span<const std::byte>(scratch.data(), need)).is_ok()) break;
-  }
-  // See drop_lane_conn: our endpoint must close so an in-process peer
-  // blocked in read_exact wakes up and redials.
-  conn->stream->close();
 }
 
 Status IonServer::on_bytes(const std::shared_ptr<ClientConn>& conn,
@@ -722,22 +682,6 @@ void IonServer::enqueue_reply(ClientConn& conn, const FrameHeader& req, Status s
   // The CRC is computed straight from the lease bytes — the single pass the
   // payload takes through the CPU before the kernel gathers it.
   if (rep.version >= 1 && !payload.bytes.empty()) rep.stamp_payload_crc(payload.bytes);
-
-  if (conn.lane == nullptr || conn.wfd < 0) {
-    // Blocking fallback: streams without write readiness (feed_bytes'
-    // scripted stream, blocking receiver conns, exotic transports) reply
-    // inline exactly as the pre-async server did.
-    c_reply_sync_fallback_.inc();
-    std::byte buf[FrameHeader::kWireSize];
-    rep.encode(std::span<std::byte, FrameHeader::kWireSize>(buf));
-    std::scoped_lock lock(conn.write_mu);
-    if (!conn.stream->write_all(buf, sizeof buf).is_ok()) return;
-    if (!payload.bytes.empty()) {
-      if (!conn.stream->write_all(payload.bytes.data(), payload.bytes.size()).is_ok()) return;
-      c_bytes_out_.add(payload.bytes.size());
-    }
-    return;
-  }
 
   SendEntry e;
   rep.encode(std::span<std::byte, FrameHeader::kWireSize>(e.hdr));

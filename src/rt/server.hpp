@@ -1,8 +1,8 @@
 // IonServer: the real I/O-forwarding daemon.
 //
 // Pluggable execution models mirror the paper's mechanisms:
-//   * thread_per_client  — ZOID's baseline: the per-client receiver thread
-//     executes each operation inline and replies (synchronous).
+//   * thread_per_client  — ZOID's baseline: the receiver lane thread that
+//     reads a request executes it inline and replies (synchronous).
 //   * work_queue         — I/O scheduling: receivers enqueue tasks into the
 //     shared FIFO; a worker pool drains it with batched multiplexing; the
 //     client still blocks until completion (synchronous staging).
@@ -79,8 +79,8 @@ struct ServerConfig {
   // Receiver lanes (DESIGN.md §13): a fixed pool of epoll event-loop threads
   // that multiplex every pollable connection, replacing thread-per-connection
   // receive. New connections go to the lane with the fewest — the paper's
-  // least-loaded-worker heuristic. 0 = min(4, hardware_concurrency). Streams
-  // without a readiness fd still get a blocking receiver thread each.
+  // least-loaded-worker heuristic. 0 = min(4, hardware_concurrency). A
+  // stream no lane can take (no readiness fd) is refused, not threaded.
   int recv_lanes = 0;
   // Per-connection bound on queued-but-unsent reply bytes (headers +
   // payloads) in the asynchronous send path (DESIGN.md §15). A connection
@@ -198,7 +198,6 @@ struct ServerStats {
   std::uint64_t replies_sent = 0;            // replies fully written to the wire
   std::uint64_t reply_queue_full = 0;        // conns dropped at send_queue_bytes
   std::uint64_t reply_peer_gone = 0;         // replies dropped: peer went away
-  std::uint64_t reply_sync_fallback = 0;     // replies via the blocking path
   std::uint64_t reply_payload_copy_bytes = 0;  // reply payload bytes memcpy'd
   // Scheduling/QoS (DESIGN.md §17).
   std::uint64_t qos_throttled_ops = 0;       // ops demoted by a token bucket
@@ -212,25 +211,27 @@ class IonServer {
   IonServer(const IonServer&) = delete;
   IonServer& operator=(const IonServer&) = delete;
 
-  // Serve a connected stream. Pollable streams (read_readiness_fd() >= 0)
-  // are registered with the least-loaded receiver lane; anything else falls
-  // back to a dedicated blocking receiver thread. Replies to lane-served
-  // connections whose stream also exposes write_readiness_fd() go through
-  // the asynchronous send path (bounded per-connection gather queues drained
-  // by the lane under EPOLLOUT, DESIGN.md §15); everything else replies via
-  // the blocking write_all fallback.
+  // Serve a connected stream: it is registered with the least-loaded
+  // receiver lane, and its replies leave through the asynchronous send path
+  // (bounded per-connection gather queues drained by the lane under
+  // EPOLLOUT, DESIGN.md §15). A stream no lane can take — a readiness fd < 0
+  // on either side, or no lane could be created or registered with — is
+  // closed and counted in server.rt.refused. Lanes are created lazily, so a
+  // later serve() retries a failed lane creation.
   void serve(std::unique_ptr<ByteStream> stream);
 
   // Accept clients from a listener (UNIX or TCP) until stop() (spawns a
   // thread).
   void serve_listener(std::unique_ptr<Listener> listener);
 
-  // Fuzz/robustness entry point (DESIGN.md §12): runs the receiver loop
-  // synchronously, in the calling thread, over an in-memory stream that
-  // delivers exactly `bytes` then EOF (replies are discarded). This is the
-  // precise code path a hostile or bit-flipped peer reaches, minus the
-  // socket — tests/fuzz/server_bytes_fuzz.cpp drives it with arbitrary
-  // inputs and the checked-in corpus replays through it under ctest.
+  // Fuzz/robustness entry point (DESIGN.md §12): pushes `bytes` through the
+  // lanes' on_bytes -> FrameAssembler -> dispatch pipeline inline, on the
+  // calling thread, for a stream-less connection whose peer is already gone.
+  // Replies are fully built (header encoded, payload CRC stamped) and then
+  // dropped, counted in server.reply.peer_gone. This is the precise code
+  // path a hostile or bit-flipped peer reaches, minus the socket —
+  // tests/fuzz/server_bytes_fuzz.cpp drives it with arbitrary inputs and the
+  // checked-in corpus replays through it under ctest.
   void feed_bytes(std::span<const std::byte> bytes);
 
   // Install a data-filtering chain (in-situ analytics / data reduction,
@@ -277,10 +278,9 @@ class IonServer {
   struct Lane;  // receiver lane: epoll loop + its connections (server.cpp)
 
   // Receive-side state of the op currently being reassembled. Only the one
-  // lane (or blocking receiver) thread that owns the connection touches it,
-  // so it needs no locking. Staging is chosen at header time — exactly where
-  // the old blocking receiver chose it — so BML backpressure still lands
-  // before the payload bytes are consumed.
+  // lane thread that owns the connection (or feed_bytes' caller) touches it,
+  // so it needs no locking. Staging is chosen at header time, so BML
+  // backpressure lands before the payload bytes are consumed.
   struct RxPending {
     enum class Staging { none, bml, heap, discard };
     FrameHeader req{};
@@ -319,8 +319,7 @@ class IonServer {
   };
 
   struct ClientConn {
-    std::unique_ptr<ByteStream> stream;
-    std::mutex write_mu;  // serializes sync-fallback reply frames
+    std::unique_ptr<ByteStream> stream;  // null only for feed_bytes
     // Negotiated wire version: 0 until (unless) the client sends `hello`,
     // then min(client, server). Atomic because workers stamp replies while
     // the receiver thread negotiates.
@@ -329,10 +328,10 @@ class IonServer {
     // v0 clients (one shared "anonymous" tenant). Keys the fair scheduler
     // and the QoS buckets. Atomic for the same negotiation race as version.
     std::atomic<std::uint64_t> tenant{0};
-    // Receiver-lane state (owned by the lane/receiver thread).
+    // Receiver-lane state (owned by the lane thread).
     FrameAssembler assembler;
     RxPending rx;
-    Lane* lane = nullptr;        // null: served by a blocking receiver thread
+    Lane* lane = nullptr;        // null only for feed_bytes
     std::uint64_t lane_key = 0;  // epoll registration key within that lane
     int rfd = -1;                // cached stream->read_readiness_fd()
     int wfd = -1;                // cached stream->write_readiness_fd()
@@ -365,17 +364,17 @@ class IonServer {
   // their pool index 0..workers-1.
   static constexpr int kInlineLane = 99;
 
-  // Receiver path (DESIGN.md §13). Lanes poll; both lane and blocking
-  // receivers funnel raw bytes through the same on_bytes -> FrameAssembler ->
-  // on_header/on_frame pipeline, so decode is byte-for-byte identical.
+  // Receiver path (DESIGN.md §13). Lanes poll and funnel raw bytes through
+  // on_bytes -> FrameAssembler -> on_header/on_frame; feed_bytes calls the
+  // same on_bytes inline, so decode is byte-for-byte identical.
   void lane_loop(Lane& lane);
   void drop_lane_conn(Lane& lane, std::uint64_t key, ClientConn& conn, Errc reason);
-  void blocking_receiver_loop(std::shared_ptr<ClientConn> conn);
   Status on_bytes(const std::shared_ptr<ClientConn>& conn, std::span<const std::byte> bytes);
   Result<FrameAssembler::Sink> on_header(
       ClientConn& conn, std::span<const std::byte, FrameHeader::kWireSize> hdr_bytes);
   Status on_frame(const std::shared_ptr<ClientConn>& conn);
-  // Spawn the lane pool on first pollable connection (threads_mu_ held).
+  // Spawn the lane pool on first connection (threads_mu_ held). Leaves
+  // lanes_ empty if no event loop could be created, so the next call retries.
   void ensure_lanes_locked();
 
   void worker_loop(int lane);
@@ -399,7 +398,7 @@ class IonServer {
   void observe_op(const FrameHeader& req, std::chrono::steady_clock::time_point arrival,
                   const Status& st);
 
-  // Inline op handlers (lane or blocking-receiver thread). Payload-carrying
+  // Inline op handlers (lane thread, or feed_bytes' caller). Payload-carrying
   // ops receive their fully assembled payload; the others run at frame
   // completion exactly as before.
   void handle_hello(ClientConn& conn, const FrameHeader& req);
@@ -418,9 +417,10 @@ class IonServer {
                    std::chrono::steady_clock::time_point arrival);
 
   // Reply path (DESIGN.md §15). enqueue_reply builds the reply header
-  // (stamping the payload CRC straight from the lease bytes), then either
-  // queues a gather descriptor on the connection's send queue (lane-served
-  // pollable streams) or falls back to blocking write_all under write_mu.
+  // (stamping the payload CRC straight from the lease bytes), then queues a
+  // gather descriptor on the connection's send queue and drains what the
+  // stream accepts without blocking; the lane resumes the drain on write
+  // readiness. A connection marked peer_gone drops the built reply instead.
   // Failures are accounted in server.reply.*, never returned: a reply that
   // cannot be delivered means the peer is gone or hopelessly slow, and the
   // connection is dropped.
@@ -479,8 +479,8 @@ class IonServer {
   obs::Counter& c_replies_sent_;
   obs::Counter& c_reply_queue_full_;
   obs::Counter& c_reply_peer_gone_;
-  obs::Counter& c_reply_sync_fallback_;
   obs::Counter& c_reply_copy_bytes_;
+  obs::Counter& c_refused_;  // server.rt.refused: streams no lane could take
   obs::Histogram& h_write_lat_us_;
   obs::Histogram& h_read_lat_us_;
   obs::Histogram& h_queue_wait_us_;  // server.sched.queue_wait_us
@@ -504,7 +504,7 @@ class IonServer {
   // waits for queue empty AND this zero before flushing the burst buffer.
   std::atomic<std::uint64_t> tasks_in_flight_{0};
 
-  // Receiver lanes, spawned lazily on the first pollable connection
+  // Receiver lanes, spawned lazily on the first served connection
   // (guarded by threads_mu_ until then; immutable afterwards).
   std::vector<std::unique_ptr<Lane>> lanes_;
   std::uint64_t next_conn_key_ = 1;  // threads_mu_ held

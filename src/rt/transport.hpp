@@ -46,46 +46,37 @@ class ByteStream {
   // Blocks until exactly n bytes were read, the peer closed (shutdown), or
   // an error occurred.
   virtual Status read_exact(void* buf, std::size_t n) = 0;
-  // Blocks until all n bytes were accepted. Kept as the compat wrapper for
-  // request paths (Client) and non-pollable streams; the server's reply path
-  // uses the non-blocking surface below.
+  // Blocks until all n bytes were accepted. The client-side request path
+  // (Client) uses it; the server reads and replies only through the
+  // non-blocking surface below.
   virtual Status write_all(const void* buf, std::size_t n) = 0;
   // Close this end; concurrent and future reads/writes fail with shutdown.
   virtual void close() = 0;
 
   // --- Non-blocking readiness surface (receiver/send lanes, §13/§15) -----
   //
-  // A stream that can participate in an epoll event loop exposes readiness
-  // fds here: edge-triggered EPOLLIN on read_readiness_fd() means
-  // read_some() will make progress. Streams without readiness support
-  // return -1 and are served by blocking threads instead.
-  [[nodiscard]] virtual int read_readiness_fd() { return -1; }
+  // Every stream must implement this surface: IonServer serves a stream
+  // only on an epoll lane. Edge-triggered EPOLLIN on read_readiness_fd()
+  // means read_some() will make progress. A stream that returns -1 here
+  // (e.g. its fds ran out) is refused by IonServer::serve.
+  [[nodiscard]] virtual int read_readiness_fd() = 0;
   // Reads up to n bytes without blocking. Returns the count read (> 0),
   // would_block when no bytes are available right now, or shutdown at EOF.
   // The edge-triggered contract: callers must loop until would_block before
   // re-arming, and a would_block result re-arms the readiness fd.
-  virtual Result<std::size_t> read_some(void* buf, std::size_t n) {
-    (void)buf;
-    (void)n;
-    return Status(Errc::unsupported, "stream has no non-blocking read");
-  }
+  virtual Result<std::size_t> read_some(void* buf, std::size_t n) = 0;
 
   // Write-side readiness, symmetric with the read side. Two shapes exist:
   //   * write_readiness_fd() == read_readiness_fd() (sockets): poll EPOLLOUT
   //     on that fd to learn when write_some() can make progress again.
   //   * a distinct fd (the in-proc pipe's eventfd shim): poll it for EPOLLIN;
   //     a tick means space was freed after a would_block.
-  // -1 means the stream has no non-blocking write: callers fall back to
-  // write_all on a thread that may block.
-  [[nodiscard]] virtual int write_readiness_fd() { return -1; }
+  // -1 means write readiness is unavailable; IonServer::serve refuses it.
+  [[nodiscard]] virtual int write_readiness_fd() = 0;
   // Writes up to n bytes without blocking. Returns the count accepted (> 0),
   // would_block when the stream is full (which re-arms the write readiness
   // fd), or shutdown once the peer is gone.
-  virtual Result<std::size_t> write_some(const void* buf, std::size_t n) {
-    (void)buf;
-    (void)n;
-    return Status(Errc::unsupported, "stream has no non-blocking write");
-  }
+  virtual Result<std::size_t> write_some(const void* buf, std::size_t n) = 0;
   // Gathered write: accepts bytes from `iov` in order, stopping at the first
   // span that is only partially accepted. Returns the total bytes accepted
   // across spans, would_block when nothing could be accepted, or the error.
@@ -204,8 +195,9 @@ class SocketTransport final : public ByteStream {
   [[nodiscard]] int fd() const { return fd_.load(); }
 
  private:
-  // Atomic: close() (e.g. from the server's stop path) races with blocked
-  // read_exact/write_all calls on receiver threads by design.
+  // Atomic: close() (e.g. from the server's stop path or a dropped lane
+  // connection) races by design with a lane's read_some/writev_some and with
+  // a client's blocking read_exact/write_all.
   std::atomic<int> fd_{-1};
 };
 

@@ -236,7 +236,10 @@ INSTANTIATE_TEST_SUITE_P(
                       ClusterSoakParam{4, FaultMode::transient},
                       ClusterSoakParam{4, FaultMode::bit_flip}),
     [](const auto& pinfo) {
-      return "s" + std::to_string(pinfo.param.shards) + "_" + to_cstr(pinfo.param.mode);
+      return std::string("s")
+          .append(std::to_string(pinfo.param.shards))
+          .append("_")
+          .append(to_cstr(pinfo.param.mode));
     });
 
 }  // namespace

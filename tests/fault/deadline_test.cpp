@@ -99,7 +99,7 @@ TEST(Deadline, WatchdogDoesNotFireOnFastRoundtrips) {
   rt::Client client(std::move(c), ccfg);
 
   for (int i = 0; i < 20; ++i) {
-    ASSERT_TRUE(client.open(i, "f" + std::to_string(i)).is_ok());
+    ASSERT_TRUE(client.open(i, std::string("f").append(std::to_string(i))).is_ok());
     ASSERT_TRUE(client.close(i).is_ok());
   }
   EXPECT_EQ(client.stats().timeouts, 0u);

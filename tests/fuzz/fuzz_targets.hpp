@@ -20,9 +20,9 @@ namespace iofwd::fuzz {
 // identity when the input is accepted.
 int frame_decode_one(const std::uint8_t* data, std::size_t size);
 
-// IonServer::feed_bytes: the full receiver parse path (header decode, frame
-// validation, payload reads, op dispatch) over an arbitrary byte stream
-// against a MemBackend server.
+// IonServer::feed_bytes: the lanes' on_bytes driven directly (frame
+// assembly, header decode, frame validation, payload staging, op dispatch,
+// reply encoding) over an arbitrary byte stream against a MemBackend server.
 int server_bytes_one(const std::uint8_t* data, std::size_t size);
 
 }  // namespace iofwd::fuzz

@@ -1,13 +1,16 @@
 // Fuzz target: the IonServer receiver path must be total over arbitrary
 // byte streams.
 //
-// IonServer::feed_bytes runs the real receiver loop — header CRC check,
-// frame validation, payload reads, op dispatch, reply encoding — over the
-// fuzz input, synchronously, against a MemBackend. The server must neither
-// crash nor hang nor allocate unboundedly: payload_len is CRC-protected and
-// bounded by kMaxPayload at decode, and staging allocations come from the
-// (deliberately tiny) BML pool, so a hostile length bounces with no_memory
-// instead of sizing a heap allocation.
+// IonServer::feed_bytes hands the fuzz input straight to the receive
+// lanes' own on_bytes — frame assembly, header CRC check, frame validation,
+// payload staging, op dispatch — inline on this thread, against a
+// MemBackend. The connection it drives has no stream and no peer, so every
+// reply is fully encoded (payload CRC stamped) and then dropped; no lane
+// thread is started. The server must neither crash nor hang nor allocate
+// unboundedly: payload_len is CRC-protected and bounded by kMaxPayload at
+// decode, and staging allocations come from the (deliberately tiny) BML
+// pool, so a hostile length bounces with no_memory instead of sizing a heap
+// allocation.
 //
 // thread_per_client keeps execution on the feeding thread: every op the
 // input manages to express completes inline, so the target is deterministic

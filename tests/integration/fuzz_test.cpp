@@ -115,9 +115,9 @@ INSTANTIATE_TEST_SUITE_P(
                                          proto::Mechanism::zoid_sched,
                                          proto::Mechanism::zoid_sched_async),
                        ::testing::Values(1u, 42u, 1337u)),
-    [](const auto& info) {
-      std::string s = proto::to_string(std::get<0>(info.param)) + "_seed" +
-                      std::to_string(std::get<1>(info.param));
+    [](const auto& pinfo) {
+      std::string s = proto::to_string(std::get<0>(pinfo.param)) + "_seed" +
+                      std::to_string(std::get<1>(pinfo.param));
       for (auto& ch : s) {
         if (ch == '+') ch = '_';
       }

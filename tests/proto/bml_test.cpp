@@ -103,7 +103,9 @@ TEST_P(BmlSizeClasses, ClassCoversRequestTightly) {
   EXPECT_TRUE(is_pow2(cls));
   EXPECT_GE(cls, req);
   EXPECT_GE(cls, 4096u);
-  if (req > 4096) EXPECT_LT(cls / 2, req);
+  if (req > 4096) {
+    EXPECT_LT(cls / 2, req);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, BmlSizeClasses,

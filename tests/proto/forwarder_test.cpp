@@ -152,8 +152,8 @@ TEST_P(ForwarderMechanism, FaultHookPropagatesOnSyncPaths) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllMechanisms, ForwarderMechanism, ::testing::ValuesIn(kAll),
-                         [](const auto& info) {
-                           std::string s = to_string(info.param);
+                         [](const auto& pinfo) {
+                           std::string s = to_string(pinfo.param);
                            for (auto& ch : s) {
                              if (ch == '+') ch = '_';
                            }

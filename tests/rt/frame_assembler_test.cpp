@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <vector>
 
@@ -23,16 +24,19 @@ std::vector<std::byte> frame_bytes(OpCode op, std::span<const std::byte> payload
   if (!payload.empty()) h.stamp_payload_crc(payload);
   std::vector<std::byte> out(FrameHeader::kWireSize + payload.size());
   h.encode(std::span<std::byte, FrameHeader::kWireSize>(out.data(), FrameHeader::kWireSize));
-  std::memcpy(out.data() + FrameHeader::kWireSize, payload.data(), payload.size());
+  if (!payload.empty()) {
+    std::memcpy(out.data() + FrameHeader::kWireSize, payload.data(), payload.size());
+  }
   return out;
 }
 
 // Test double for the server's receive path: stages every payload on the
-// heap and records each completed frame.
+// heap and records each decoded header and each completed frame.
 struct Collector {
   FrameAssembler fsm;
   std::vector<std::pair<FrameHeader, std::vector<std::byte>>> frames;
   std::vector<std::byte> staging;
+  int headers = 0;
 
   Status feed(std::span<const std::byte> bytes) {
     return fsm.feed(
@@ -42,7 +46,8 @@ struct Collector {
           auto h = FrameHeader::decode(hdr);
           if (!h.is_ok()) return h.status();
           pending = h.value();
-          staging.resize(pending.payload_len);
+          ++headers;
+          staging.assign(pending.payload_len, std::byte{0});
           return FrameAssembler::Sink{pending.payload_len, staging.data()};
         },
         [&]() -> Status {
@@ -118,22 +123,37 @@ TEST(FrameAssembler, ZeroPayloadFrameCompletesWithoutMoreBytes) {
   ASSERT_TRUE(c.feed(wire).is_ok());
   ASSERT_EQ(c.frames.size(), 1u);
   EXPECT_EQ(c.frames[0].first.payload_len, 0u);
-  // needed() is back to a fresh header — never zero.
-  EXPECT_EQ(c.fsm.needed(), FrameHeader::kWireSize);
+  // The assembler is back at a fresh header: the next frame's first byte is
+  // read as header, not as payload of the empty frame.
+  const auto next = frame_bytes(OpCode::fsync, {}, 2);
+  ASSERT_TRUE(c.feed(next).is_ok());
+  ASSERT_EQ(c.frames.size(), 2u);
+  EXPECT_EQ(c.frames[1].first.seq, 2u);
 }
 
-TEST(FrameAssembler, NeededTracksHeaderThenPayload) {
-  std::vector<std::byte> payload(10, std::byte{1});
+TEST(FrameAssembler, SplitFeedsTrackHeaderThenPayload) {
+  std::vector<std::byte> payload(10);
+  for (std::size_t i = 0; i < payload.size(); ++i) payload[i] = static_cast<std::byte>(i + 1);
   const auto wire = frame_bytes(OpCode::write, payload);
 
   Collector c;
-  EXPECT_EQ(c.fsm.needed(), FrameHeader::kWireSize);
+  // A partial header decodes nothing.
   ASSERT_TRUE(c.feed({wire.data(), 20}).is_ok());
-  EXPECT_EQ(c.fsm.needed(), FrameHeader::kWireSize - 20);
+  EXPECT_EQ(c.headers, 0);
+  // The header's last byte decodes it and opens the payload sink.
   ASSERT_TRUE(c.feed({wire.data() + 20, FrameHeader::kWireSize - 20}).is_ok());
-  EXPECT_EQ(c.fsm.needed(), payload.size());
+  EXPECT_EQ(c.headers, 1);
+  EXPECT_TRUE(c.frames.empty());
+  // Payload bytes land in the sink in order; the frame stays open.
   ASSERT_TRUE(c.feed({wire.data() + FrameHeader::kWireSize, 4}).is_ok());
-  EXPECT_EQ(c.fsm.needed(), payload.size() - 4);
+  EXPECT_TRUE(c.frames.empty());
+  EXPECT_TRUE(std::equal(payload.begin(), payload.begin() + 4, c.staging.begin()));
+  EXPECT_EQ(c.staging[4], std::byte{0}) << "no byte past the fed ones was written";
+  // The rest completes it without a second header decode.
+  ASSERT_TRUE(c.feed({wire.data() + FrameHeader::kWireSize + 4, payload.size() - 4}).is_ok());
+  EXPECT_EQ(c.headers, 1);
+  ASSERT_EQ(c.frames.size(), 1u);
+  EXPECT_EQ(c.frames[0].second, payload);
 }
 
 TEST(FrameAssembler, NullSinkSwallowsPayload) {
@@ -141,23 +161,30 @@ TEST(FrameAssembler, NullSinkSwallowsPayload) {
   std::vector<std::byte> payload(128, std::byte{0xee});
   const auto wire = frame_bytes(OpCode::write, payload);
 
+  // A second frame right behind it: the swallow must stop exactly at the
+  // first frame's end, or this header would fail to decode.
+  const auto next = frame_bytes(OpCode::fsync, {}, 2);
+  std::vector<std::byte> stream = wire;
+  stream.insert(stream.end(), next.begin(), next.end());
+
   FrameAssembler fsm;
-  int frames = 0;
+  std::vector<std::uint64_t> seqs;
+  std::uint64_t seq = 0;
   auto st = fsm.feed(
-      wire,
+      stream,
       [&](std::span<const std::byte, FrameHeader::kWireSize> hdr)
           -> Result<FrameAssembler::Sink> {
         auto h = FrameHeader::decode(hdr);
-        EXPECT_TRUE(h.is_ok());
+        if (!h.is_ok()) return h.status();
+        seq = h.value().seq;
         return FrameAssembler::Sink{h.value().payload_len, nullptr};
       },
       [&]() -> Status {
-        ++frames;
+        seqs.push_back(seq);
         return Status::ok();
       });
   ASSERT_TRUE(st.is_ok());
-  EXPECT_EQ(frames, 1);
-  EXPECT_EQ(fsm.needed(), FrameHeader::kWireSize);
+  EXPECT_EQ(seqs, (std::vector<std::uint64_t>{1, 2}));
 }
 
 TEST(FrameAssembler, HeaderErrorStopsFeedAndDropsRestOfChunk) {
@@ -189,11 +216,13 @@ TEST(FrameAssembler, ResetDropsPartialFrame) {
 
   Collector c;
   ASSERT_TRUE(c.feed({wire.data(), FrameHeader::kWireSize + 5}).is_ok());
-  EXPECT_LT(c.fsm.needed(), payload.size());
+  EXPECT_EQ(c.headers, 1);
+  EXPECT_TRUE(c.frames.empty()) << "the payload is still partial";
   c.fsm.reset();
-  EXPECT_EQ(c.fsm.needed(), FrameHeader::kWireSize);
-  // A whole fresh frame reassembles cleanly after the reset.
+  // A whole fresh frame reassembles cleanly after the reset: its first bytes
+  // decode as a new header instead of finishing the dropped payload.
   ASSERT_TRUE(c.feed(wire).is_ok());
+  EXPECT_EQ(c.headers, 2);
   ASSERT_EQ(c.frames.size(), 1u);
   EXPECT_EQ(c.frames[0].second, payload);
 }

@@ -3,6 +3,10 @@
 // interoperates (DESIGN.md §12).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "core/rng.hpp"
 #include "core/units.hpp"
 #include "rt/client.hpp"
@@ -121,6 +125,74 @@ TEST(Integrity, HelloRepeatsPerConnection) {
   ASSERT_TRUE(client.write(1, 0, pattern(1_KiB, 25)).is_ok());
   EXPECT_EQ(server->stats().hellos, 2u);
   EXPECT_EQ(client.negotiated_version(), kProtoVersion);
+}
+
+// Append one v1 request frame (header + payload) to a scripted byte stream.
+void append_request(std::vector<std::byte>& wire, FrameHeader req,
+                    std::span<const std::byte> payload = {}) {
+  req.type = MsgType::request;
+  req.version = kProtoVersion;
+  req.payload_len = payload.size();
+  if (!payload.empty()) req.stamp_payload_crc(payload);
+  std::byte hdr[FrameHeader::kWireSize];
+  req.encode(std::span<std::byte, FrameHeader::kWireSize>(hdr));
+  wire.insert(wire.end(), std::begin(hdr), std::end(hdr));
+  wire.insert(wire.end(), payload.begin(), payload.end());
+}
+
+TEST(Integrity, FeedBytesRunsAScriptedSessionInline) {
+  // feed_bytes drives the receive pipeline on the caller's thread for a
+  // connection with no peer: ops execute, replies are built and dropped.
+  auto m = std::make_unique<MemBackend>();
+  MemBackend* mem = m.get();
+  ServerConfig cfg;
+  cfg.exec = ExecModel::thread_per_client;
+  IonServer server(std::move(m), cfg);
+
+  const auto data = pattern(4_KiB, 0xfeed);
+  const std::string path = "fed";
+  std::vector<std::byte> wire;
+  std::uint64_t seq = 1;
+  FrameHeader req;
+  req.op = OpCode::hello;
+  req.seq = seq++;
+  append_request(wire, req);
+  req = FrameHeader{};
+  req.op = OpCode::open;
+  req.fd = 1;
+  req.seq = seq++;
+  append_request(wire, req, std::as_bytes(std::span(path.data(), path.size())));
+  req = FrameHeader{};
+  req.op = OpCode::write;
+  req.fd = 1;
+  req.seq = seq++;
+  append_request(wire, req, data);
+  for (OpCode op : {OpCode::fsync, OpCode::close}) {
+    req = FrameHeader{};
+    req.op = op;
+    req.fd = 1;
+    req.seq = seq++;
+    append_request(wire, req);
+  }
+
+  server.feed_bytes(wire);
+
+  EXPECT_EQ(mem->snapshot(path), data) << "the written bytes must reach the backend";
+  const obs::Snapshot snap = server.metrics();
+  EXPECT_EQ(snap.counter("server.integrity.hellos"), 1u);
+  EXPECT_EQ(snap.counter("server.integrity.payload_crc_errors"), 0u);
+  EXPECT_EQ(snap.counter("server.reply.peer_gone"), seq - 1) << "one dropped reply per request";
+  EXPECT_EQ(snap.counter("server.reply.enqueued"), 0u);
+  // No lane was started: nothing under server.rt.lane.* was ever registered.
+  const std::string lane_prefix = "server.rt.lane.";
+  auto has_lane_metric = [&](const auto& metrics) {
+    return std::any_of(metrics.begin(), metrics.end(),
+                       [&](const auto& kv) { return kv.first.starts_with(lane_prefix); });
+  };
+  EXPECT_FALSE(has_lane_metric(snap.counters));
+  EXPECT_FALSE(has_lane_metric(snap.gauges));
+  EXPECT_FALSE(has_lane_metric(snap.histograms));
+  server.stop();
 }
 
 }  // namespace

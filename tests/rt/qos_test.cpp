@@ -157,7 +157,7 @@ TEST(Qos, TenantTagPropagatesToEveryShardThroughRoutingClient) {
   constexpr int kFiles = 8;
   const auto chunk = pattern(4_KiB, 21);
   for (int fd = 1; fd <= kFiles; ++fd) {
-    const std::string path = "f" + std::to_string(fd);
+    const std::string path = std::string("f").append(std::to_string(fd));
     ASSERT_TRUE(client.open(fd, path).is_ok());
     ASSERT_TRUE(client.write(fd, 0, chunk).is_ok());
     ASSERT_TRUE(client.fsync(fd).is_ok());
@@ -175,7 +175,8 @@ TEST(Qos, TenantTagPropagatesToEveryShardThroughRoutingClient) {
     if (val != 0) ++shards_tagged;
     bool owns_file = false;
     for (int fd = 1; fd <= kFiles; ++fd) {
-      if (!tc.mem(s).snapshot("f" + std::to_string(fd)).empty()) owns_file = true;
+      const std::string path = std::string("f").append(std::to_string(fd));
+      if (!tc.mem(s).snapshot(path).empty()) owns_file = true;
     }
     if (owns_file) ++shards_with_files;
   }

@@ -5,8 +5,8 @@
 //   * bound queued reply memory at ServerConfig::send_queue_bytes and drop
 //     only the stalled connection when a peer stops reading — releasing the
 //     BML leases its queued replies were pinning;
-//   * fall back to the pre-§15 blocking reply path for streams with no
-//     write readiness fd;
+//   * refuse a stream with no readiness fd — the server has no blocking
+//     path to serve it on — without disturbing its neighbors;
 //   * account the one remaining reply memcpy (fstat's 8-byte size) so the
 //     bench's zero-copy gate has a counter to watch.
 //
@@ -222,29 +222,41 @@ TEST(SendPath, QueueFullDropsOnlyTheStalledConnection) {
   EXPECT_GE(final_st.reply_peer_gone, 1u) << "queued replies behind the drop were not accounted";
 }
 
-// A stream that hides its readiness fds: the server must serve it with a
-// blocking receiver thread and the pre-§15 inline reply path.
+// A stream that hides its readiness fds: no lane can poll it.
 class OpaqueStream final : public ByteStream {
  public:
   explicit OpaqueStream(std::unique_ptr<ByteStream> inner) : inner_(std::move(inner)) {}
   Status read_exact(void* buf, std::size_t n) override { return inner_->read_exact(buf, n); }
   Status write_all(const void* buf, std::size_t n) override { return inner_->write_all(buf, n); }
   void close() override { inner_->close(); }
+  [[nodiscard]] int read_readiness_fd() override { return -1; }
+  Result<std::size_t> read_some(void* buf, std::size_t n) override {
+    return inner_->read_some(buf, n);
+  }
+  [[nodiscard]] int write_readiness_fd() override { return -1; }
+  Result<std::size_t> write_some(const void* buf, std::size_t n) override {
+    return inner_->write_some(buf, n);
+  }
 
  private:
   std::unique_ptr<ByteStream> inner_;
 };
 
-TEST(SendPath, NonPollableStreamFallsBackToBlockingReplies) {
+TEST(SendPath, NonPollableStreamIsRefused) {
   ServerConfig cfg;
   cfg.exec = ExecModel::work_queue_async;
   IonServer server(std::make_unique<MemBackend>(), cfg);
 
   auto [s, c] = InProcTransport::make_pair(64_KiB);
   server.serve(std::make_unique<OpaqueStream>(std::move(s)));
-  Raw conn{std::move(c)};
-  ASSERT_TRUE(conn.handshake(1, "f"));
+  // The server closed its end: the peer's blocking read sees shutdown.
+  std::byte buf[FrameHeader::kWireSize];
+  EXPECT_EQ(c->read_exact(buf, sizeof buf).code(), Errc::shutdown);
+  EXPECT_EQ(server.metrics().counter("server.rt.refused"), 1u);
 
+  // A pollable connection served next to it works normally.
+  Raw conn = dial(server, 64_KiB);
+  ASSERT_TRUE(conn.handshake(1, "f"));
   const auto data = testsupport::pattern(8_KiB, 0xfa11);
   FrameHeader wr;
   wr.op = OpCode::write;
@@ -257,10 +269,7 @@ TEST(SendPath, NonPollableStreamFallsBackToBlockingReplies) {
   std::vector<std::byte> back;
   ASSERT_TRUE(conn.roundtrip(rd, {}, nullptr, &back));
   EXPECT_EQ(back, data);
-
-  const auto st = server.stats();
-  EXPECT_GE(st.reply_sync_fallback, 4u) << "hello/open/write/read all reply synchronously here";
-  EXPECT_EQ(st.replies_enqueued, 0u) << "nothing should touch the async queue";
+  EXPECT_EQ(server.metrics().counter("server.rt.refused"), 1u);
   server.stop();
 }
 
@@ -321,7 +330,7 @@ TEST(SendPath, ClusterSurvivesTinyPipesUnderConcurrency) {
       auto& client = tc.client(static_cast<std::size_t>(id));
       const int fd = 10 + id;
       std::vector<std::byte> file;
-      if (!client.open(fd, "t" + std::to_string(id)).is_ok()) {
+      if (!client.open(fd, std::string("t").append(std::to_string(id))).is_ok()) {
         ++failures;
         return;
       }

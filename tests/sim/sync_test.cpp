@@ -39,7 +39,7 @@ TEST(SimSemaphore, CountAllowsParallelism) {
   EXPECT_EQ(eng.now(), 20);  // two at a time
 }
 
-Proc<void> take_n(Engine& eng, SimSemaphore& sem, std::int64_t n, std::vector<std::int64_t>& got) {
+Proc<void> take_n(SimSemaphore& sem, std::int64_t n, std::vector<std::int64_t>& got) {
   co_await sem.acquire(n);
   got.push_back(n);
   co_return;
@@ -51,8 +51,8 @@ TEST(SimSemaphore, NoBargePastLargeWaiter) {
   std::vector<std::int64_t> got;
   // First a big request that cannot be satisfied, then a small one that
   // could. FIFO fairness demands the small one waits behind the big one.
-  eng.spawn(take_n(eng, sem, 10, got));
-  eng.spawn(take_n(eng, sem, 1, got));
+  eng.spawn(take_n(sem, 10, got));
+  eng.spawn(take_n(sem, 1, got));
   eng.run();
   EXPECT_TRUE(got.empty());
   sem.release(6);  // now 10 available
@@ -76,7 +76,7 @@ TEST(SimSemaphore, TryAcquireRespectsWaiters) {
   Engine eng;
   SimSemaphore sem(eng, 0);
   std::vector<std::int64_t> got;
-  eng.spawn(take_n(eng, sem, 1, got));
+  eng.spawn(take_n(sem, 1, got));
   eng.run();
   sem.release(1);  // reserved for the waiter immediately
   EXPECT_FALSE(sem.try_acquire(1));

@@ -191,8 +191,10 @@ INSTANTIATE_TEST_SUITE_P(
                       QosSoakParam{64, SchedPolicy::fifo}, QosSoakParam{64, SchedPolicy::fair},
                       QosSoakParam{64, SchedPolicy::edf}),
     [](const auto& pinfo) {
-      return "c" + std::to_string(pinfo.param.clients) + "_" +
-             std::string(to_string(pinfo.param.policy));
+      return std::string("c")
+          .append(std::to_string(pinfo.param.clients))
+          .append("_")
+          .append(to_string(pinfo.param.policy));
     });
 
 }  // namespace

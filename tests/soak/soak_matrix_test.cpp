@@ -237,7 +237,10 @@ INSTANTIATE_TEST_SUITE_P(
                       SoakParam{16, FaultMode::slow_reader},
                       SoakParam{64, FaultMode::slow_reader}),
     [](const auto& pinfo) {
-      return "c" + std::to_string(pinfo.param.clients) + "_" + to_cstr(pinfo.param.mode);
+      return std::string("c")
+          .append(std::to_string(pinfo.param.clients))
+          .append("_")
+          .append(to_cstr(pinfo.param.mode));
     });
 
 }  // namespace
