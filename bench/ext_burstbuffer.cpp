@@ -2,10 +2,10 @@
 //
 // An N-to-1 checkpoint: every rank owns a contiguous region of one shared
 // file, but chunks arrive round-robin across ranks, so consecutive writes at
-// the ION jump between regions. The sequential-only AggregatingBackend
-// flushes on nearly every write; the extent-indexed burst buffer coalesces
-// each region into one run and drains it on fsync. Compared per backend:
-// ingest latency, drain latency, and backend write-op count.
+// the ION jump between regions. The raw backend sees every write; the
+// extent-indexed burst buffer coalesces each region into one run and drains
+// it on fsync. Compared per backend: ingest latency, drain latency, and
+// backend write-op count.
 #include <chrono>
 #include <cstdio>
 #include <memory>
@@ -16,7 +16,6 @@
 #include "bench_common.hpp"
 #include "core/rng.hpp"
 #include "core/units.hpp"
-#include "rt/aggregator.hpp"
 #include "rt/backend.hpp"
 
 namespace {
@@ -120,15 +119,6 @@ int main(int argc, char** argv) {
     record("raw", raw);
   }
 
-  // Sequential aggregation: the round-robin arrival order breaks the window
-  // on almost every write.
-  {
-    auto counting = std::make_unique<CountingBackend>(std::make_unique<rt::MemBackend>());
-    auto* counter = counting.get();
-    rt::AggregatingBackend agg(std::move(counting), 4_MiB);
-    record("aggregating 4MiB", run_burst(agg, *counter, chunks_per_rank, chunk));
-  }
-
   // Burst buffer: each rank's region coalesces into one extent regardless of
   // arrival order; the drain issues one large write per region.
   RunResult bbr;
@@ -141,17 +131,9 @@ int main(int argc, char** argv) {
     bbr = run_burst(bbuf, *counter, chunks_per_rank, chunk);
     record("burst buffer", bbr);
 
-    const auto s = bbuf.stats();
-    analysis::BurstBufferDiag d;
-    d.hit_rate = s.hit_rate();
-    d.coalesce_ratio = s.coalesce_ratio();
-    d.flushed_bytes = s.flushed_bytes;
-    d.cached_high_watermark = s.cached_high_watermark;
-    d.capacity_bytes = bbuf.config().capacity_bytes;
-    d.stall_ns = s.stall_ns;
-    d.evictions = s.evictions;
-    d.deferred_errors = s.deferred_errors;
-    std::fputs(analysis::burst_buffer_table(d).render().c_str(), stdout);
+    std::fputs(
+        analysis::burst_buffer_table(bbuf.metrics(), bbuf.config().capacity_bytes).render().c_str(),
+        stdout);
   }
 
   analysis::emit(rep);

@@ -258,7 +258,7 @@ double aggregate_mibs(int clients, int writes, std::uint64_t& copy_bytes) {
       cls.version = rt::kProtoVersion;
       (void)raw_roundtrip(conns[static_cast<std::size_t>(c)], cls, {}, nullptr, nullptr);
     }
-    copy_bytes += server.stats().reply_payload_copy_bytes;
+    copy_bytes += server.metrics().counter("server.reply.payload_copy_bytes");
     server.stop();
 
     const double total_mib = static_cast<double>(clients) * writes *

@@ -17,7 +17,6 @@
 #include <cstring>
 #include <vector>
 
-#include "rt/aggregator.hpp"
 #include "rt/client.hpp"
 #include "rt/server.hpp"
 
@@ -27,13 +26,13 @@ int main() {
   constexpr int kGrid = 256;          // 256x256 doubles per checkpoint
   constexpr int kCheckpoints = 10;
 
-  // ION server with the filter chain installed, writes aggregated into
-  // 1 MiB backend operations.
+  // ION server with the filter chain installed, filtered writes staged in a
+  // 4 MiB burst buffer that coalesces them into large backend writes.
   auto mem = std::make_unique<rt::MemBackend>();
   auto* mem_raw = mem.get();
-  auto agg = std::make_unique<rt::AggregatingBackend>(std::move(mem), 1u << 20);
-  auto* agg_raw = agg.get();
-  rt::IonServer server(std::move(agg), {});
+  rt::ServerConfig cfg;
+  cfg.bb_bytes = 4u << 20;
+  rt::IonServer server(std::move(mem), cfg);
 
   rt::FilterChain chain;
   auto moments = std::make_shared<rt::MomentsFilter>();
@@ -72,15 +71,15 @@ int main() {
   }
   if (!client.close(1).is_ok()) return 1;
 
-  const auto s = server.stats();
+  const obs::Snapshot s = server.metrics();
+  const auto filter_in = static_cast<double>(s.counter("server.filter_bytes_in"));
+  const auto filter_out = static_cast<double>(s.counter("server.filter_bytes_out"));
   std::printf("\napplication wrote %.2f MiB; storage received %.2f MiB (%.0f%% reduction)\n",
-              static_cast<double>(s.filter_bytes_in) / (1 << 20),
-              static_cast<double>(s.filter_bytes_out) / (1 << 20),
-              100.0 * (1.0 - static_cast<double>(s.filter_bytes_out) /
-                                 static_cast<double>(s.filter_bytes_in)));
-  std::printf("aggregation: %llu client writes -> %llu backend writes; stored file: %.2f MiB\n",
-              static_cast<unsigned long long>(agg_raw->writes_in()),
-              static_cast<unsigned long long>(agg_raw->writes_out()),
+              filter_in / (1 << 20), filter_out / (1 << 20),
+              100.0 * (1.0 - filter_out / filter_in));
+  std::printf("burst buffer: %llu client writes -> %llu backend writes; stored file: %.2f MiB\n",
+              static_cast<unsigned long long>(s.counter("bb.writes_in")),
+              static_cast<unsigned long long>(s.counter("bb.backend_writes")),
               static_cast<double>(mem_raw->snapshot("field.dat").size()) / (1 << 20));
   return 0;
 }

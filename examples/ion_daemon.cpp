@@ -4,7 +4,7 @@
 //   $ ./ion_daemon /tmp/iofwd.sock [exec=async|queue|thread] [workers=4]
 //                  [recv_lanes=0] [root=/tmp/iofwd_data] [bml_mib=256] [bb_mib=0]
 //                  [shards=1] [cluster_bb_mib=0]
-//                  [aggregate_kib=0] [downsample=0] [rle=0]
+//                  [downsample=0] [rle=0]
 //                  [retry=0] [bml_wait_ms=100] [degraded_high=0]
 //                  [degraded_low=0] [bb_stall_ms=100]
 //                  [sched=fifo] [sched_quantum_kib=256]
@@ -21,7 +21,6 @@
 //
 // recv_lanes=N      epoll receiver lanes multiplexing all connections
 //                   (DESIGN.md §13); 0 = min(4, hardware threads)
-// aggregate_kib=N   coalesce sequential writes into N-KiB backend writes
 // bb_mib=N          burst-buffer staging cache of N MiB (DESIGN.md §9)
 // downsample=K      keep every K-th 8-byte element (in-situ data reduction)
 // rle=1             zero-run-length-encode payloads before storage
@@ -65,9 +64,15 @@
 //                   shutdown: per-op spans on worker-lane tids plus
 //                   queue-depth and BML-in-use counter tracks
 // stats_interval_s=N  print a one-line metric summary every N seconds
+//                   (server.ops, server.bytes_in, server.queue_depth,
+//                   server.bml_in_use; summed over shards)
 // flight_ops=N      completed-op flight-recorder ring size (0 = off)
 // SIGUSR1           dump the full metrics table + the flight-recorder ring
 //                   to stdout without stopping the daemon
+// SIGINT/SIGTERM    drain, then print server.ops, server.bytes_in/out and
+//                   server.deferred_errors (a fleet sums its shards with
+//                   obs::merge_sum), the bb.* hit rate, coalesce ratio and
+//                   flushed bytes when bb_mib>0, and the full metrics table
 //
 // Any process may then connect with rt::SocketTransport::connect_unix and
 // drive it through rt::Client (see examples/quickstart.cpp for the calls).
@@ -84,7 +89,6 @@
 #include "fault/retry.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "rt/aggregator.hpp"
 #include "rt/server.hpp"
 
 using namespace iofwd;
@@ -188,7 +192,6 @@ int main(int argc, char** argv) {
   cfg.flight_recorder_ops = static_cast<std::size_t>(args.get_int("flight_ops", 256));
   if (!trace_out.empty()) cfg.tracer = &tracer;
 
-  const int agg_kib = args.get_int("aggregate_kib", 0);
   const int retry = args.get_int("retry", 0);
   const int stride = args.get_int("downsample", 0);
   const bool rle = args.get_flag("rle");
@@ -204,10 +207,6 @@ int main(int argc, char** argv) {
   const auto make_backend = [&](const std::string& dir,
                                 obs::MetricRegistry* reg) -> std::unique_ptr<rt::IoBackend> {
     std::unique_ptr<rt::IoBackend> backend = std::make_unique<rt::FileBackend>(dir);
-    if (agg_kib > 0) {
-      backend = std::make_unique<rt::AggregatingBackend>(
-          std::move(backend), static_cast<std::uint64_t>(agg_kib) << 10);
-    }
     if (retry > 0) {
       fault::RetryPolicy policy;
       policy.max_attempts = retry;
@@ -224,7 +223,7 @@ int main(int argc, char** argv) {
   };
 
   // Build either the classic single server or an IonCluster fleet; both
-  // expose the same snapshot/stats surface to the loop below.
+  // expose the same metrics() snapshot surface to the loop below.
   std::unique_ptr<rt::IonServer> server;
   std::unique_ptr<cluster::IonCluster> fleet;
   if (shards > 1) {
@@ -345,7 +344,8 @@ int main(int argc, char** argv) {
   }
 
   // Drain first: stop() quiesces workers and flushes every burst buffer, so
-  // the stats below include everything that was still in flight.
+  // the counts below include everything that was still in flight. A fleet's
+  // shutdown line sums its shards' snapshots.
   std::printf("\nsignal received, draining...\n");
   if (fleet) {
     fleet->stop();
@@ -353,28 +353,21 @@ int main(int argc, char** argv) {
     server->stop();
   }
 
-  rt::ServerStats s{};
+  obs::Snapshot s;
   if (fleet) {
-    for (int i = 0; i < shards; ++i) {
-      const auto ss = fleet->shard(i).stats();
-      s.ops += ss.ops;
-      s.bytes_in += ss.bytes_in;
-      s.bytes_out += ss.bytes_out;
-      s.deferred_errors += ss.deferred_errors;
-      s.bb_flushed_bytes += ss.bb_flushed_bytes;
-    }
+    for (int i = 0; i < shards; ++i) obs::merge_sum(s, fleet->shard(i).metrics());
   } else {
-    s = server->stats();
+    s = server->metrics();
   }
   std::printf("shut down: %llu ops, %.1f MiB in, %.1f MiB out, %llu deferred errors\n",
-              static_cast<unsigned long long>(s.ops),
-              static_cast<double>(s.bytes_in) / (1 << 20),
-              static_cast<double>(s.bytes_out) / (1 << 20),
-              static_cast<unsigned long long>(s.deferred_errors));
+              static_cast<unsigned long long>(s.counter("server.ops")),
+              static_cast<double>(s.counter("server.bytes_in")) / (1 << 20),
+              static_cast<double>(s.counter("server.bytes_out")) / (1 << 20),
+              static_cast<unsigned long long>(s.counter("server.deferred_errors")));
   if (cfg.bb_bytes > 0 && !fleet) {
     std::printf("burst buffer: %.0f%% hit rate, %.1fx coalesce, %.1f MiB flushed\n",
-                100.0 * s.bb_hit_rate, s.bb_coalesce_ratio,
-                static_cast<double>(s.bb_flushed_bytes) / (1 << 20));
+                100.0 * analysis::bb_hit_rate(s), analysis::bb_coalesce_ratio(s),
+                static_cast<double>(s.counter("bb.flushed_bytes")) / (1 << 20));
   }
   if (fleet) {
     if (const cluster::ClusterBbBudget* budget = fleet->budget()) {

@@ -75,11 +75,11 @@ int main() {
     return 1;
   }
 
-  const auto s = server.stats();
-  std::printf("server: %llu ops, %.1f MiB in, %llu queue batches, BML high-water %.1f MiB\n",
-              static_cast<unsigned long long>(s.ops),
-              static_cast<double>(s.bytes_in) / (1 << 20),
-              static_cast<unsigned long long>(s.queue_batches),
-              static_cast<double>(s.bml_high_watermark) / (1 << 20));
+  const obs::Snapshot s = server.metrics();
+  std::printf("server: %llu ops, %.1f MiB in, %lld queue batches, BML high-water %.1f MiB\n",
+              static_cast<unsigned long long>(s.counter("server.ops")),
+              static_cast<double>(s.counter("server.bytes_in")) / (1 << 20),
+              static_cast<long long>(s.gauge("server.queue_batches")),
+              static_cast<double>(s.gauge("server.bml_high_watermark")) / (1 << 20));
   return 0;
 }

@@ -138,49 +138,62 @@ std::string DiagTable::render() const {
   return out;
 }
 
-DiagTable burst_buffer_table(const BurstBufferDiag& d) {
+double bb_hit_rate(const obs::Snapshot& snap) {
+  const std::uint64_t read = snap.counter("bb.read_bytes");
+  return read > 0 ? static_cast<double>(snap.counter("bb.read_hit_bytes")) /
+                        static_cast<double>(read)
+                  : 0.0;
+}
+
+double bb_coalesce_ratio(const obs::Snapshot& snap) {
+  const auto writes_in = static_cast<double>(snap.counter("bb.writes_in"));
+  const std::uint64_t backend = snap.counter("bb.backend_writes");
+  return backend > 0 ? writes_in / static_cast<double>(backend) : writes_in;
+}
+
+DiagTable burst_buffer_table(const obs::Snapshot& snap, std::uint64_t capacity_bytes) {
   DiagTable t("burst-buffer cache");
-  t.add("hit rate", Table::pct(100.0 * d.hit_rate), "read bytes served from cached extents");
-  t.add("coalesce ratio", d.coalesce_ratio, "incoming writes per backend write");
-  t.add("flushed", Table::num(static_cast<double>(d.flushed_bytes) / (1024.0 * 1024.0), 1) + " MiB",
+  t.add("hit rate", Table::pct(100.0 * bb_hit_rate(snap)),
+        "read bytes served from cached extents");
+  t.add("coalesce ratio", bb_coalesce_ratio(snap), "incoming writes per backend write");
+  t.add("flushed",
+        Table::num(static_cast<double>(snap.counter("bb.flushed_bytes")) / (1024.0 * 1024.0), 1) +
+            " MiB",
         "drained to the backend");
-  const double occ = d.capacity_bytes > 0 ? 100.0 * static_cast<double>(d.cached_high_watermark) /
-                                                static_cast<double>(d.capacity_bytes)
-                                          : 0.0;
+  const double occ = capacity_bytes > 0
+                         ? 100.0 * static_cast<double>(snap.gauge("bb.cached_high_watermark")) /
+                               static_cast<double>(capacity_bytes)
+                         : 0.0;
   t.add("peak occupancy", Table::pct(occ), "high watermark over bb_bytes");
-  t.add("writer stalls", Table::num(static_cast<double>(d.stall_ns) / 1e6, 2) + " ms",
+  t.add("writer stalls",
+        Table::num(static_cast<double>(snap.counter("bb.stall_ns")) / 1e6, 2) + " ms",
         "waiting for cache space");
-  t.add("evictions", static_cast<double>(d.evictions), "clean extents reclaimed");
-  t.add("deferred errors", static_cast<double>(d.deferred_errors),
+  t.add("evictions", static_cast<double>(snap.counter("bb.evictions")), "clean extents reclaimed");
+  t.add("deferred errors", static_cast<double>(snap.counter("bb.deferred_errors")),
         "flush failures surfaced on later ops");
   return t;
 }
 
-DiagTable resilience_table(const ResilienceDiag& d) {
+DiagTable resilience_table(const obs::Snapshot& snap) {
+  const auto n = [&snap](const char* name) { return static_cast<double>(snap.counter(name)); };
   DiagTable t("resilience");
-  t.add("retry attempts", static_cast<double>(d.retry_attempts),
-        "backend ops issued, incl. retries");
-  t.add("retries", static_cast<double>(d.retries), "re-issues after a transient error");
-  t.add("retry giveups", static_cast<double>(d.retry_giveups), "retry budget exhausted");
-  t.add("backoff", Table::num(static_cast<double>(d.backoff_ns) / 1e6, 2) + " ms",
-        "slept between attempts");
-  t.add("deadline expired", static_cast<double>(d.deadline_expired),
-        "ops bounced with timed_out, unexecuted");
-  t.add("bml timeouts", static_cast<double>(d.bml_timeouts),
-        "pool waits past bml_wait_ms");
-  t.add("degraded pass-through", static_cast<double>(d.degraded_passthrough),
+  t.add("retry attempts", n("retry.attempts"), "backend ops issued, incl. retries");
+  t.add("retries", n("retry.retries"), "re-issues after a transient error");
+  t.add("retry giveups", n("retry.giveups"), "retry budget exhausted");
+  t.add("backoff", Table::num(n("retry.backoff_ns") / 1e6, 2) + " ms", "slept between attempts");
+  t.add("deadline expired", n("server.deadline_expired"), "ops bounced with timed_out, unexecuted");
+  t.add("bml timeouts", n("server.bml_timeouts"), "pool waits past bml_wait_ms");
+  t.add("degraded pass-through", n("server.degraded_passthrough_ops"),
         "writes served without a BML lease");
-  t.add("degraded sync writes", static_cast<double>(d.degraded_sync_writes),
+  t.add("degraded sync writes", n("server.degraded_sync_writes"),
         "staged writes forced synchronous");
-  t.add("degraded spans", static_cast<double>(d.degraded_enters),
-        Table::num(static_cast<double>(d.degraded_ns) / 1e6, 2) + " ms total");
-  t.add("bb degraded writes", static_cast<double>(d.bb_degraded_writes),
-        "cache stalls that wrote through");
-  t.add("reconnects", static_cast<double>(d.reconnects), "client redials that succeeded");
-  t.add("replays", static_cast<double>(d.replays), "ops completed on a retry connection");
-  t.add("client timeouts", static_cast<double>(d.client_timeouts),
-        "roundtrips killed by the watchdog");
-  t.add("client giveups", static_cast<double>(d.giveups), "reconnect budget exhausted");
+  t.add("degraded spans", n("server.degraded_enters"),
+        Table::num(n("server.degraded_ns") / 1e6, 2) + " ms total");
+  t.add("bb degraded writes", n("bb.degraded_writes"), "cache stalls that wrote through");
+  t.add("reconnects", n("client.reconnects"), "client redials that succeeded");
+  t.add("replays", n("client.replays"), "ops completed on a retry connection");
+  t.add("client timeouts", n("client.timeouts"), "roundtrips killed by the watchdog");
+  t.add("client giveups", n("client.giveups"), "reconnect budget exhausted");
   return t;
 }
 

@@ -79,51 +79,24 @@ class DiagTable {
   std::vector<Row> rows_;
 };
 
-// Burst-buffer cache counters in table-ready form. Plain numbers rather than
-// the bb::BurstBufferStats struct keep analysis/ independent of the runtime
-// layers; callers copy the fields across.
-struct BurstBufferDiag {
-  double hit_rate = 0.0;        // fraction of read bytes served from cache
-  double coalesce_ratio = 0.0;  // incoming writes per backend write
-  std::uint64_t flushed_bytes = 0;
-  std::uint64_t cached_high_watermark = 0;
-  std::uint64_t capacity_bytes = 0;
-  std::uint64_t stall_ns = 0;  // writer time spent waiting for cache space
-  std::uint64_t evictions = 0;
-  std::uint64_t deferred_errors = 0;
-};
+// Burst-buffer ratios computed from the "bb.*" counters of a snapshot:
+// the share of read bytes served from cached extents, and ingested writes
+// per backend write (>1 means bursts were coalesced; with no backend write
+// yet, the ingested write count).
+[[nodiscard]] double bb_hit_rate(const obs::Snapshot& snap);
+[[nodiscard]] double bb_coalesce_ratio(const obs::Snapshot& snap);
 
 // Render the standard burst-buffer diagnostics table ("where bursts are
-// absorbed"): hit rate, coalesce ratio, flushed bytes, occupancy, stalls.
-DiagTable burst_buffer_table(const BurstBufferDiag& d);
-
-// Resilience counters in table-ready form (DESIGN.md §10). Like
-// BurstBufferDiag, plain numbers so analysis/ stays independent of rt/,
-// bb/ and fault/; callers copy the fields they have and leave the rest 0.
-struct ResilienceDiag {
-  // Retry/backoff (fault::RetryingBackend).
-  std::uint64_t retry_attempts = 0;   // backend ops issued, incl. retries
-  std::uint64_t retries = 0;          // re-issues after a transient error
-  std::uint64_t retry_giveups = 0;    // ops that exhausted the retry budget
-  std::uint64_t backoff_ns = 0;       // time spent sleeping between attempts
-  // Server-side (rt::ServerStats).
-  std::uint64_t deadline_expired = 0;     // ops bounced past their deadline
-  std::uint64_t bml_timeouts = 0;         // pool waits past bml_wait_ms
-  std::uint64_t degraded_passthrough = 0; // writes served without a BML lease
-  std::uint64_t degraded_sync_writes = 0; // staged writes forced synchronous
-  std::uint64_t degraded_enters = 0;      // high-watermark crossings
-  std::uint64_t degraded_ns = 0;          // time spent in degraded mode
-  std::uint64_t bb_degraded_writes = 0;   // bb stalls that fell back to write-through
-  // Client-side (rt::ClientStats).
-  std::uint64_t reconnects = 0;
-  std::uint64_t replays = 0;
-  std::uint64_t client_timeouts = 0;
-  std::uint64_t giveups = 0;
-};
+// absorbed") from a snapshot holding the "bb.*" metrics: hit rate, coalesce
+// ratio, flushed bytes, peak occupancy of `capacity_bytes`, stalls,
+// evictions and deferred errors.
+DiagTable burst_buffer_table(const obs::Snapshot& snap, std::uint64_t capacity_bytes);
 
 // Render the standard resilience diagnostics table ("how faults were
-// absorbed"): retries, giveups, deadline bounces, degradation, reconnects.
-DiagTable resilience_table(const ResilienceDiag& d);
+// absorbed", DESIGN.md §10) from a snapshot: retry.*, the server's deadline
+// and degradation counters, bb.degraded_writes and client.*. Subsystems
+// missing from the snapshot read as 0.
+DiagTable resilience_table(const obs::Snapshot& snap);
 
 // Generic dump of one obs metric snapshot: every counter and gauge as a row
 // (sorted by name — one row per metric), every histogram as a

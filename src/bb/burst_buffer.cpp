@@ -739,29 +739,6 @@ void BurstBufferBackend::flusher_loop() {
   }
 }
 
-BurstBufferStats BurstBufferBackend::stats() const {
-  BurstBufferStats s;
-  s.writes_in = c_writes_in_.value();
-  s.writes_absorbed = c_writes_absorbed_.value();
-  s.backend_writes = c_backend_writes_.value();
-  s.bytes_in = c_bytes_in_.value();
-  s.flushed_bytes = c_flushed_bytes_.value();
-  s.write_through_bytes = c_write_through_bytes_.value();
-  s.read_bytes = c_read_bytes_.value();
-  s.read_hit_bytes = c_read_hit_bytes_.value();
-  s.evictions = c_evictions_.value();
-  s.stall_ns = c_stall_ns_.value();
-  s.stalls = c_stalls_.value();
-  s.degraded_writes = c_degraded_writes_.value();
-  s.deferred_errors = c_deferred_errors_.value();
-  s.drains = c_drains_.value();
-  s.pinned_reads = c_pinned_reads_.value();
-  s.cached_bytes = pool_.in_use();
-  s.cached_high_watermark = pool_.high_watermark();
-  s.dirty_bytes = dirty_total_.load();
-  return s;
-}
-
 void BurstBufferBackend::refresh_gauges() const {
   g_cached_bytes_.set(static_cast<std::int64_t>(pool_.in_use()));
   g_cached_high_watermark_.set(static_cast<std::int64_t>(pool_.high_watermark()));
@@ -770,6 +747,11 @@ void BurstBufferBackend::refresh_gauges() const {
     g_journal_live_bytes_.set(static_cast<std::int64_t>(journal_->live_bytes()));
     g_journal_size_bytes_.set(static_cast<std::int64_t>(journal_->size_bytes()));
   }
+}
+
+obs::Snapshot BurstBufferBackend::metrics() const {
+  refresh_gauges();
+  return reg_->snapshot();
 }
 
 }  // namespace iofwd::bb

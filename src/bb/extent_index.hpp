@@ -4,8 +4,8 @@
 // rt::BufferPool lease. The pool hands out size-class buffers whose capacity
 // usually exceeds the requested length, so strictly sequential appends fill
 // the slack in place; writes that overlap or adjoin existing extents —
-// including out-of-order and non-contiguous patterns the sequential
-// AggregatingBackend window cannot absorb — are merged into one extent by
+// including out-of-order and non-contiguous patterns a sequential
+// aggregation window cannot absorb — are merged into one extent by
 // re-leasing a buffer for the union range. Newly written bytes always win
 // over previously cached ones.
 //

@@ -155,7 +155,7 @@ Status Journal::open_segment_locked(std::uint32_t index) {
   cur_size_ = kSegmentMagicLen;
   total_size_ += kSegmentMagicLen;
   segments_.push_back(index);
-  return Status::ok();
+  return sync_dir_locked();  // make the new directory entry durable
 }
 
 Status Journal::append_locked(RecordType type, int fd, std::uint64_t offset, std::uint64_t len,
@@ -190,26 +190,38 @@ Status Journal::append_locked(RecordType type, int fd, std::uint64_t offset, std
 
 Status Journal::truncate_all_locked() {
   // Everything staged has been retired: the log is pure garbage except for
-  // the descriptor→path bindings, which get re-seeded into a fresh segment.
-  const std::uint32_t next = segments_.empty() ? 1 : segments_.back() + 1;
-  for (std::uint32_t idx : segments_) {
-    std::error_code ec;
-    std::filesystem::remove(segment_path(idx), ec);
-  }
-  segments_.clear();
-  total_size_ = 0;
-  if (cur_fd_ >= 0) {
-    ::close(cur_fd_);
-    cur_fd_ = -1;
-  }
-  if (Status st = open_segment_locked(next); !st.is_ok()) return st;
-  ++truncations_;
+  // the descriptor→path bindings. Seed them into a fresh segment first and
+  // unlink the old segments only then, so a failed creation or reseed leaves
+  // the bindings on disk.
+  const std::vector<std::uint32_t> old = segments_;
+  const std::uint64_t old_size = total_size_;
+  if (Status st = open_segment_locked(old.empty() ? 1 : old.back() + 1); !st.is_ok()) return st;
   for (const auto& [fd, path] : open_paths_) {
     const auto bytes = std::as_bytes(std::span(path.data(), path.size()));
     if (Status st = append_locked(RecordType::open, fd, 0, path.size(), bytes); !st.is_ok()) {
       return st;
     }
   }
+  for (std::uint32_t idx : old) {
+    std::error_code ec;
+    std::filesystem::remove(segment_path(idx), ec);
+  }
+  segments_.erase(segments_.begin(), segments_.begin() + static_cast<std::ptrdiff_t>(old.size()));
+  total_size_ -= old_size;
+  ++truncations_;
+  return sync_dir_locked();
+}
+
+Status Journal::sync_dir_locked() const {
+  if (!cfg_.fsync_each) return Status::ok();
+  const int dfd = ::open(cfg_.dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
+  if (dfd < 0) {
+    return {Errc::io_error, "journal dir open " + cfg_.dir + ": " + std::strerror(errno)};
+  }
+  const int rc = ::fsync(dfd);
+  const int err = errno;
+  ::close(dfd);
+  if (rc != 0) return {Errc::io_error, std::string("journal dir fsync: ") + std::strerror(err)};
   return Status::ok();
 }
 

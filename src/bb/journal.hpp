@@ -21,9 +21,10 @@
 //
 // Truncation: the journal tracks the live (staged-minus-retired) byte
 // ranges per descriptor under its append lock. The moment live bytes hit
-// zero — every staged extent has been flushed — all segments are deleted
-// and a fresh one is seeded with OPEN records for the still-open
-// descriptors, so a drain-heavy workload keeps the log near-empty. Within a
+// zero — every staged extent has been flushed — a fresh segment is seeded
+// with OPEN records for the still-open descriptors and then every older
+// segment is deleted, so a drain-heavy workload keeps the log near-empty
+// and a failed reseed never loses the descriptor→path bindings. Within a
 // busy interval, appends rotate to a new segment past `segment_bytes`.
 //
 // Thread safety: every operation takes one internal mutex; callers already
@@ -47,9 +48,10 @@ namespace iofwd::bb {
 struct JournalConfig {
   std::string dir;                           // segment directory (created if absent)
   std::uint64_t segment_bytes = 8ull << 20;  // rotate appends past this size
-  // fdatasync after every append: survives host power loss, not just process
-  // death. Off by default — the crash model this journal defends against is
-  // a dying ION process, and the page cache outlives that.
+  // fdatasync after every append, and fsync the directory after a segment
+  // is created or old ones are unlinked: survives host power loss, not just
+  // process death. Off by default — the crash model this journal defends
+  // against is a dying ION process, and the page cache outlives that.
   bool fsync_each = false;
 };
 
@@ -110,8 +112,12 @@ class Journal {
   Status open_segment_locked(std::uint32_t index);
   Status append_locked(RecordType type, int fd, std::uint64_t offset, std::uint64_t len,
                        std::span<const std::byte> payload);
-  // Delete every segment and reseed one with OPEN records for open_paths_.
+  // Start a fresh segment reseeded with OPEN records for open_paths_, then
+  // delete every older segment.
   Status truncate_all_locked();
+  // fsync the journal directory when fsync_each is set (segment creation
+  // and unlinks); a no-op otherwise.
+  Status sync_dir_locked() const;
   [[nodiscard]] std::string segment_path(std::uint32_t index) const;
 
   JournalConfig cfg_;

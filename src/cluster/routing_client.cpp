@@ -9,7 +9,7 @@ RoutingClient::RoutingClient(std::vector<ShardLink> links, rt::ClientConfig cfg,
                              HealthConfig health)
     : map_(static_cast<int>(links.size())) {
   assert(!links.empty() && "RoutingClient needs at least one shard link");
-  cfg.registry = nullptr;  // per-shard private registries (stats attribution)
+  cfg.registry = nullptr;  // per-shard private registries (metric attribution)
   clients_.reserve(links.size());
   health_.reserve(links.size());
   for (auto& link : links) {
@@ -115,30 +115,9 @@ bool RoutingClient::last_write_was_staged() const {
   return shard >= 0 && shard_client(shard).last_write_was_staged();
 }
 
-rt::ClientStats RoutingClient::stats() const {
-  rt::ClientStats sum;
-  for (const auto& c : clients_) {
-    const rt::ClientStats s = c->stats();
-    sum.reconnects += s.reconnects;
-    sum.replays += s.replays;
-    sum.timeouts += s.timeouts;
-    sum.giveups += s.giveups;
-    sum.header_crc_errors += s.header_crc_errors;
-    sum.payload_crc_errors += s.payload_crc_errors;
-    sum.request_bounces += s.request_bounces;
-    // Breaker counters live in the same per-shard registries (registered by
-    // ShardHealth); read them off the snapshot the inner stats() is built
-    // from rather than duplicating state here.
-    const obs::Snapshot snap = c->registry().snapshot();
-    auto ctr = [&snap](const char* name) -> std::uint64_t {
-      auto it = snap.counters.find(name);
-      return it == snap.counters.end() ? 0 : it->second;
-    };
-    sum.breaker_opens += ctr("client.breaker.opens");
-    sum.breaker_fast_fails += ctr("client.breaker.fast_fails");
-    sum.breaker_probes += ctr("client.breaker.probes");
-    sum.breaker_closes += ctr("client.breaker.closes");
-  }
+obs::Snapshot RoutingClient::metrics() const {
+  obs::Snapshot sum;
+  for (const auto& c : clients_) obs::merge_sum(sum, c->metrics());
   return sum;
 }
 

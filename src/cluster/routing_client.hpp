@@ -18,10 +18,10 @@
 // so a successful probe readmits the shard in one step. Siblings' traffic is
 // untouched throughout: health is tracked per shard.
 //
-// Stats attribution: every inner Client runs against its own private
-// registry, so shard_client(k).stats() shows only shard k's
+// Metric attribution: every inner Client runs against its own private
+// registry, so shard_client(k).metrics() shows only shard k's
 // reconnects/replays/CRC detections — and its breaker's
-// client.breaker.{opens,fast_fails,probes,closes} live there too; stats()
+// client.breaker.{opens,fast_fails,probes,closes} live there too; metrics()
 // sums the fleet.
 //
 // Thread safety: same contract as rt::Client — calls are serialized per
@@ -74,8 +74,9 @@ class RoutingClient final : public rt::ForwardingClient {
 
   [[nodiscard]] bool last_write_was_staged() const override;
 
-  // Fleet-wide sums of the per-shard counters (breaker fields included).
-  [[nodiscard]] rt::ClientStats stats() const override;
+  // Fleet-wide sums of the per-shard counters (obs::merge_sum), breaker
+  // counters included.
+  [[nodiscard]] obs::Snapshot metrics() const override;
 
   [[nodiscard]] int shards() const { return static_cast<int>(clients_.size()); }
   [[nodiscard]] const ShardMap& shard_map() const { return map_; }

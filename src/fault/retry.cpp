@@ -112,13 +112,4 @@ Result<std::uint64_t> RetryingBackend::size(int fd) {
   return with_retries([&] { return inner_->size(fd); });
 }
 
-RetryStats RetryingBackend::stats() const {
-  RetryStats s;
-  s.attempts = c_attempts_.value();
-  s.retries = c_retries_.value();
-  s.giveups = c_giveups_.value();
-  s.backoff_ns = c_backoff_ns_.value();
-  return s;
-}
-
 }  // namespace iofwd::fault

@@ -36,16 +36,6 @@ struct RetryPolicy {
   obs::MetricRegistry* registry = nullptr;
 };
 
-// Snapshot view over the registry's "retry.*" counters, assembled by
-// stats(). Deprecated as an API surface; retained so existing tests and
-// benches read fields unchanged.
-struct RetryStats {
-  std::uint64_t attempts = 0;   // operations issued to the inner backend
-  std::uint64_t retries = 0;    // re-issues after a transient failure
-  std::uint64_t giveups = 0;    // ops that exhausted the attempt budget
-  std::uint64_t backoff_ns = 0;  // total time slept between attempts
-};
-
 class RetryingBackend final : public rt::IoBackend {
  public:
   RetryingBackend(std::unique_ptr<rt::IoBackend> inner, RetryPolicy policy = {});
@@ -58,10 +48,10 @@ class RetryingBackend final : public rt::IoBackend {
   Status close(int fd) override;
   Result<std::uint64_t> size(int fd) override;
 
-  [[nodiscard]] RetryStats stats() const;
   [[nodiscard]] const RetryPolicy& policy() const { return policy_; }
   [[nodiscard]] rt::IoBackend& inner() { return *inner_; }
-  // The registry backing stats() — owned unless RetryPolicy::registry was set.
+  // The registry holding "retry.attempts", "retry.retries", "retry.giveups"
+  // and "retry.backoff_ns" — owned unless RetryPolicy::registry was set.
   [[nodiscard]] obs::MetricRegistry& registry() const { return *reg_; }
 
  private:

@@ -91,6 +91,25 @@ void merge_prefixed(Snapshot& dst, const Snapshot& src, const std::string& prefi
   for (const auto& [name, v] : src.histograms) dst.histograms[prefix + name] = v;
 }
 
+void merge_sum(Snapshot& dst, const Snapshot& src) {
+  for (const auto& [name, v] : src.counters) dst.counters[name] += v;
+  for (const auto& [name, v] : src.gauges) {
+    auto [it, fresh] = dst.gauges.try_emplace(name, v);
+    if (!fresh) it->second = std::max(it->second, v);
+  }
+  for (const auto& [name, h] : src.histograms) {
+    auto [it, fresh] = dst.histograms.try_emplace(name, h);
+    if (fresh) continue;
+    HistogramSnapshot& d = it->second;
+    d.count += h.count;
+    d.sum += h.sum;
+    d.max = std::max(d.max, h.max);
+    d.p50 = std::max(d.p50, h.p50);
+    d.p95 = std::max(d.p95, h.p95);
+    d.p99 = std::max(d.p99, h.p99);
+  }
+}
+
 Snapshot MetricRegistry::snapshot() const {
   Snapshot s;
   std::scoped_lock lk(mu_);

@@ -13,9 +13,9 @@
 //
 // Handles are registered by name ("server.ops", "bb.flushed_bytes", ...) and
 // live as long as the registry; subsystems cache references at construction
-// so the hot path never touches the registration mutex. The legacy *Stats
-// structs survive as snapshot views assembled from registry values, and
-// analysis::metrics_table renders any registry Snapshot as a DiagTable.
+// so the hot path never touches the registration mutex. A Snapshot is the
+// one read surface: tests, benches and tools read counts by registry name,
+// and analysis::metrics_table renders any Snapshot as a DiagTable.
 //
 // Overhead budget: <2% on the server op path versus no instrumentation,
 // gated by bench/ext_obs_overhead.
@@ -173,6 +173,14 @@ struct Snapshot {
 // behind cluster snapshots, where shard i's registry lands under
 // "cluster.shard.<i>.*". Prefixed names that already exist are overwritten.
 void merge_prefixed(Snapshot& dst, const Snapshot& src, const std::string& prefix);
+
+// Fold `src` into `dst` as one more instance of the same subsystem — the
+// fleet total over shard clients, psets or ION shards. Counters add. Gauges
+// keep the larger value (the merged gauges are levels and high watermarks
+// such as fwd.max_queue_depth; a gauge that must add belongs in a counter).
+// Histograms add counts and sums and keep the larger max and percentiles, an
+// upper bound, since a snapshot no longer holds the buckets.
+void merge_sum(Snapshot& dst, const Snapshot& src);
 
 // Named handle registry. Registration (first lookup of a name) takes a
 // mutex; the returned references are stable for the registry's lifetime, so

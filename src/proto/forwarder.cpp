@@ -28,22 +28,17 @@ Forwarder::Forwarder(bgp::Machine& machine, bgp::Pset& pset, RunMetrics& metrics
       c_worker_batches_(reg_->counter("fwd.worker_batches")),
       c_worker_tasks_(reg_->counter("fwd.worker_tasks")),
       c_memory_blocked_(reg_->counter("fwd.memory_blocked")),
+      c_bml_blocked_(reg_->counter("fwd.bml_blocked")),
       g_max_queue_depth_(reg_->gauge("fwd.max_queue_depth")),
-      g_bml_blocked_(reg_->gauge("fwd.bml_blocked")),
       eng_(machine.engine()),
       mc_(machine.config()) {
   if (cfg_.trace_ops) tracer_ = std::make_unique<sim::ChromeTracer>(eng_);
 }
 
-ForwarderStats Forwarder::stats() const {
-  ForwarderStats s;
-  s.ops_enqueued = c_ops_enqueued_.value();
-  s.max_queue_depth = static_cast<std::uint64_t>(g_max_queue_depth_.value());
-  s.worker_batches = c_worker_batches_.value();
-  s.worker_tasks = c_worker_tasks_.value();
-  s.bml_blocked = static_cast<std::uint64_t>(g_bml_blocked_.value());
-  s.memory_blocked = c_memory_blocked_.value();
-  return s;
+obs::Snapshot merged_metrics(const std::vector<std::unique_ptr<Forwarder>>& fwds) {
+  obs::Snapshot total;
+  for (const auto& f : fwds) obs::merge_sum(total, f->registry().snapshot());
+  return total;
 }
 
 sim::Proc<Status> Forwarder::open(int cn_id, int fd) {

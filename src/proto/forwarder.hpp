@@ -13,6 +13,7 @@
 #include <optional>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "bgp/machine.hpp"
 #include "core/status.hpp"
@@ -82,14 +83,13 @@ class Forwarder {
   // Stop worker processes (no-op for thread-per-CN mechanisms).
   virtual void shutdown() {}
 
-  // Snapshot view assembled from the "fwd.*" registry metrics (deprecated
-  // as an API surface, retained for tests/benches; callers binding
-  // `const auto&` keep working via lifetime extension).
-  [[nodiscard]] ForwarderStats stats() const;
   [[nodiscard]] DescriptorDb& descriptors() { return db_; }
   [[nodiscard]] const sim::ChromeTracer* tracer() const { return tracer_.get(); }
-  // The registry backing stats() — owned unless ForwarderConfig::registry
-  // was set.
+  // The registry holding the execution-side "fwd.*" metrics: counters
+  // fwd.ops_enqueued, fwd.worker_batches, fwd.worker_tasks, fwd.bml_blocked
+  // (staging waits on an exhausted BML) and fwd.memory_blocked (sync-path
+  // waits for ION memory), plus the gauge fwd.max_queue_depth. Owned unless
+  // ForwarderConfig::registry was set.
   [[nodiscard]] obs::MetricRegistry& registry() const { return *reg_; }
 
  protected:
@@ -136,19 +136,24 @@ class Forwarder {
   DescriptorDb db_;
   std::unique_ptr<sim::ChromeTracer> tracer_;
 
-  // Registry-backed metrics ("fwd.*"); replaces the old stats_ member.
+  // Registry-backed metrics ("fwd.*").
   std::unique_ptr<obs::MetricRegistry> owned_registry_;
   obs::MetricRegistry* reg_;  // never null
   obs::Counter& c_ops_enqueued_;
   obs::Counter& c_worker_batches_;
   obs::Counter& c_worker_tasks_;
   obs::Counter& c_memory_blocked_;
+  obs::Counter& c_bml_blocked_;
   obs::Gauge& g_max_queue_depth_;
-  obs::Gauge& g_bml_blocked_;
 
   sim::Engine& eng_;
   const bgp::MachineConfig& mc_;
 };
+
+// The "fwd.*" metrics of a run's forwarders (one per pset, each with its
+// own registry) folded with obs::merge_sum: counters add,
+// fwd.max_queue_depth keeps the peak.
+[[nodiscard]] obs::Snapshot merged_metrics(const std::vector<std::unique_ptr<Forwarder>>& fwds);
 
 // Factory covering all four mechanisms.
 std::unique_ptr<Forwarder> make_forwarder(Mechanism m, bgp::Machine& machine, bgp::Pset& pset,

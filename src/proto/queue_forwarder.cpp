@@ -77,7 +77,8 @@ sim::Proc<Status> QueueForwarder::write(int cn_id, int fd, std::uint64_t bytes, 
       t.sink = sink;
       // Blocks if the pool is exhausted until queued operations complete.
       t.bml_class = co_await bml_.acquire(n);
-      g_bml_blocked_.set(static_cast<std::int64_t>(bml_.blocked_acquires()));
+      c_bml_blocked_.add(bml_.blocked_acquires() - bml_blocked_counted_);
+      bml_blocked_counted_ = bml_.blocked_acquires();
       co_await tree_data_in(n);
       if (fd >= 0) {
         auto seq = db_.begin_op(fd);

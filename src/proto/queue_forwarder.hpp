@@ -61,6 +61,7 @@ class QueueForwarder final : public Forwarder {
 
   bool async_staging_;
   Bml bml_;
+  std::uint64_t bml_blocked_counted_ = 0;  // bml_.blocked_acquires() already in fwd.bml_blocked
   SimTaskQueue<QTask> queue_;
   std::uint64_t outstanding_ = 0;
   std::vector<std::shared_ptr<sim::SimEvent>> completion_ticks_;

@@ -53,22 +53,6 @@ struct RunMetrics {
   }
 };
 
-// Execution-side statistics for ablation benches and tests.
-struct ForwarderStats {
-  std::uint64_t ops_enqueued = 0;
-  std::uint64_t max_queue_depth = 0;
-  std::uint64_t worker_batches = 0;
-  std::uint64_t worker_tasks = 0;
-  std::uint64_t bml_blocked = 0;     // staging waits due to exhausted pool
-  std::uint64_t memory_blocked = 0;  // sync path waits for ION memory
-
-  [[nodiscard]] double avg_batch() const {
-    return worker_batches > 0
-               ? static_cast<double>(worker_tasks) / static_cast<double>(worker_batches)
-               : 0.0;
-  }
-};
-
 [[nodiscard]] std::string to_string(OpType t);
 [[nodiscard]] std::string to_string(SinkTarget::Kind k);
 

@@ -383,18 +383,6 @@ Status Client::ping() {
   return r.is_ok() ? status_of(r.value().header) : r.status();
 }
 
-ClientStats Client::stats() const {
-  ClientStats s;
-  s.reconnects = c_reconnects_.value();
-  s.replays = c_replays_.value();
-  s.timeouts = c_timeouts_.value();
-  s.giveups = c_giveups_.value();
-  s.header_crc_errors = c_header_crc_errors_.value();
-  s.payload_crc_errors = c_payload_crc_errors_.value();
-  s.request_bounces = c_request_bounces_.value();
-  return s;
-}
-
 std::uint16_t Client::negotiated_version() const {
   std::scoped_lock lock(mu_);
   return neg_version_;

@@ -75,27 +75,6 @@ struct ClientConfig {
   std::uint8_t priority = 0;
 };
 
-// Snapshot view over the client's metric registry ("client.*" counters),
-// assembled by stats(). Deprecated as an API surface; retained so existing
-// tests and benches read fields unchanged.
-struct ClientStats {
-  std::uint64_t reconnects = 0;  // successful reconnect + open-replay passes
-  std::uint64_t replays = 0;     // ops that succeeded on a retry connection
-  std::uint64_t timeouts = 0;    // roundtrips killed by the watchdog
-  std::uint64_t giveups = 0;     // ops that exhausted the reconnect budget
-  // Integrity counters (DESIGN.md §12).
-  std::uint64_t header_crc_errors = 0;   // corrupted reply headers
-  std::uint64_t payload_crc_errors = 0;  // corrupted reply payloads
-  std::uint64_t request_bounces = 0;     // requests the server bounced as corrupt
-  // Circuit-breaker counters (DESIGN.md §16). Always zero for a plain
-  // rt::Client — only cluster::RoutingClient runs breakers; the fields live
-  // here so one stats surface serves both ForwardingClient implementations.
-  std::uint64_t breaker_opens = 0;       // healthy/suspect -> down transitions
-  std::uint64_t breaker_fast_fails = 0;  // ops bounced without touching the wire
-  std::uint64_t breaker_probes = 0;      // half-open pings sent
-  std::uint64_t breaker_closes = 0;      // down -> healthy readmissions
-};
-
 // The forwarded-call surface a compute-node application programs against,
 // independent of how many IONs stand behind it. rt::Client implements it
 // over one connection; cluster::RoutingClient implements it over N shards.
@@ -129,7 +108,10 @@ class ForwardingClient {
   // True if the last write() was acknowledged as staged (async mode).
   [[nodiscard]] virtual bool last_write_was_staged() const = 0;
 
-  [[nodiscard]] virtual ClientStats stats() const = 0;
+  // Point-in-time view of the client's "client.*" counters (DESIGN.md §11):
+  // reconnects, replays, timeouts, giveups, client.integrity.* and, for a
+  // RoutingClient, the fleet sum of every shard's client.breaker.*.
+  [[nodiscard]] virtual obs::Snapshot metrics() const = 0;
 };
 
 class Client final : public ForwardingClient {
@@ -158,9 +140,9 @@ class Client final : public ForwardingClient {
   // checksums are active.
   [[nodiscard]] std::uint16_t negotiated_version() const;
 
-  [[nodiscard]] ClientStats stats() const override;
+  [[nodiscard]] obs::Snapshot metrics() const override { return reg_->snapshot(); }
 
-  // The registry backing stats() — client-owned unless ClientConfig::registry
+  // The registry behind metrics() — client-owned unless ClientConfig::registry
   // was set.
   [[nodiscard]] obs::MetricRegistry& registry() const { return *reg_; }
 
@@ -200,7 +182,7 @@ class Client final : public ForwardingClient {
   bool hello_done_ = false;     // version negotiated on the current stream
   std::uint16_t neg_version_ = 0;
 
-  // Registry-backed counters ("client.*"); replaces the old stats_ member.
+  // Registry-backed counters ("client.*").
   std::unique_ptr<obs::MetricRegistry> owned_registry_;
   obs::MetricRegistry* reg_;  // never null
   obs::Counter& c_reconnects_;

@@ -127,6 +127,7 @@ IonServer::IonServer(std::unique_ptr<IoBackend> backend, ServerConfig cfg)
       h_queue_wait_us_(reg_->histogram("server.sched.queue_wait_us")),
       g_queue_depth_(reg_->gauge("server.queue_depth")),
       g_queue_max_depth_(reg_->gauge("server.queue_max_depth")),
+      g_queue_batches_(reg_->gauge("server.queue_batches")),
       g_bml_in_use_(reg_->gauge("server.bml_in_use")),
       g_bml_blocked_(reg_->gauge("server.bml_blocked")),
       g_bml_high_watermark_(reg_->gauge("server.bml_high_watermark")) {
@@ -319,66 +320,24 @@ void IonServer::drain() {
   if (bb_) bb_->drain_all();
 }
 
-ServerStats IonServer::stats() const {
-  ServerStats s;
-  s.ops = c_ops_.value();
-  s.bytes_in = c_bytes_in_.value();
-  s.bytes_out = c_bytes_out_.value();
-  s.deferred_errors = c_deferred_errors_.value();
-  s.filter_bytes_in = c_filter_bytes_in_.value();
-  s.filter_bytes_out = c_filter_bytes_out_.value();
-  s.deadline_expired = c_deadline_expired_.value();
-  s.bml_timeouts = c_bml_timeouts_.value();
-  s.degraded_passthrough_ops = c_degraded_passthrough_.value();
-  s.degraded_sync_writes = c_degraded_sync_writes_.value();
-  s.degraded_enters = c_degraded_enters_.value();
-  s.degraded_ns = c_degraded_ns_.value();
-  s.hellos = c_hellos_.value();
-  s.header_crc_errors = c_header_crc_errors_.value();
-  s.payload_crc_errors = c_payload_crc_errors_.value();
-  s.frames_rejected = c_frames_rejected_.value();
-  s.replies_enqueued = c_replies_enqueued_.value();
-  s.replies_sent = c_replies_sent_.value();
-  s.reply_queue_full = c_reply_queue_full_.value();
-  s.reply_peer_gone = c_reply_peer_gone_.value();
-  s.reply_payload_copy_bytes = c_reply_copy_bytes_.value();
-  s.qos_throttled_ops = reg_->counter("server.qos.throttled_ops").value();
-  s.qos_admitted_bytes = reg_->counter("server.qos.admitted_bytes").value();
-  s.queue_batches = queue_.batches();
-  s.queue_max_depth = queue_.max_depth();
-  s.bml_blocked = pool_.blocked_acquires();
-  s.bml_high_watermark = pool_.high_watermark();
-  s.bml_in_use = pool_.in_use();
-  {
-    std::scoped_lock lock(degraded_mu_);
-    if (degraded_mode_) {
-      s.degraded_ns += static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(std::chrono::steady_clock::now() -
-                                                               degraded_since_)
-              .count());
-    }
-  }
-  if (bb_) {
-    const bb::BurstBufferStats b = bb_->stats();
-    s.bb_cached_bytes = b.cached_bytes;
-    s.bb_flushed_bytes = b.flushed_bytes;
-    s.bb_backend_writes = b.backend_writes;
-    s.bb_stall_ns = b.stall_ns;
-    s.bb_hit_rate = b.hit_rate();
-    s.bb_coalesce_ratio = b.coalesce_ratio();
-    s.bb_degraded_writes = b.degraded_writes;
-  }
-  return s;
-}
-
 obs::Snapshot IonServer::metrics() const {
   // Queue/pool state lives outside the registry; mirror it into gauges so
   // one Snapshot is self-contained for rendering and shipping.
   g_queue_depth_.set(static_cast<std::int64_t>(queue_.size()));
   g_queue_max_depth_.set(static_cast<std::int64_t>(queue_.max_depth()));
+  g_queue_batches_.set(static_cast<std::int64_t>(queue_.batches()));
   g_bml_in_use_.set(static_cast<std::int64_t>(pool_.in_use()));
   g_bml_blocked_.set(static_cast<std::int64_t>(pool_.blocked_acquires()));
   g_bml_high_watermark_.set(static_cast<std::int64_t>(pool_.high_watermark()));
+  {
+    std::scoped_lock lock(degraded_mu_);
+    if (degraded_mode_) {
+      const auto now = std::chrono::steady_clock::now();
+      c_degraded_ns_.add(static_cast<std::uint64_t>(
+          std::chrono::duration_cast<std::chrono::nanoseconds>(now - degraded_since_).count()));
+      degraded_since_ = now;
+    }
+  }
   if (bb_) bb_->refresh_gauges();
   return reg_->snapshot();
 }
@@ -416,8 +375,9 @@ bool IonServer::past_deadline(const FrameHeader& req,
 
 bool IonServer::degraded_now(std::size_t queue_depth) {
   if (cfg_.degraded_high_watermark == 0) return false;
-  const auto now = std::chrono::steady_clock::now();
   std::scoped_lock lock(degraded_mu_);
+  // Read the clock under the lock: metrics() may have restarted the span.
+  const auto now = std::chrono::steady_clock::now();
   if (!degraded_mode_) {
     if (queue_depth >= cfg_.degraded_high_watermark) {
       degraded_mode_ = true;

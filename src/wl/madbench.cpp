@@ -109,14 +109,7 @@ MadbenchResult run_madbench(proto::Mechanism m, bgp::MachineConfig machine_cfg,
   r.throughput_mib_s = metrics.throughput_mib_s(0, metrics.last_delivery);
   r.reads = sh.reads;
   r.writes = sh.writes;
-  for (auto& f : fwds) {
-    const auto& s = f->stats();
-    r.stats.ops_enqueued += s.ops_enqueued;
-    r.stats.worker_batches += s.worker_batches;
-    r.stats.worker_tasks += s.worker_tasks;
-    r.stats.bml_blocked += s.bml_blocked;
-    r.stats.memory_blocked += s.memory_blocked;
-  }
+  r.fwd_metrics = proto::merged_metrics(fwds);
   return r;
 }
 

@@ -51,7 +51,7 @@ struct MadbenchResult {
   std::uint64_t bytes = 0;
   std::uint64_t reads = 0;
   std::uint64_t writes = 0;
-  proto::ForwarderStats stats;
+  obs::Snapshot fwd_metrics;  // "fwd.*", merged across psets (proto::merged_metrics)
 };
 
 MadbenchResult run_madbench(proto::Mechanism m, bgp::MachineConfig machine_cfg,

@@ -67,15 +67,7 @@ StreamResult run_stream(proto::Mechanism m, const bgp::MachineConfig& machine_cf
   r.metrics = metrics;
   r.elapsed = metrics.last_delivery;
   r.throughput_mib_s = metrics.throughput_mib_s(0, metrics.last_delivery);
-  for (auto& f : fwds) {
-    const auto& s = f->stats();
-    r.stats.ops_enqueued += s.ops_enqueued;
-    r.stats.max_queue_depth = std::max(r.stats.max_queue_depth, s.max_queue_depth);
-    r.stats.worker_batches += s.worker_batches;
-    r.stats.worker_tasks += s.worker_tasks;
-    r.stats.bml_blocked += s.bml_blocked;
-    r.stats.memory_blocked += s.memory_blocked;
-  }
+  r.fwd_metrics = proto::merged_metrics(fwds);
   r.sim_events = eng.events_processed();
   return r;
 }

@@ -31,7 +31,7 @@ struct StreamParams {
 struct StreamResult {
   double throughput_mib_s = 0;   // aggregate delivered over the full run
   proto::RunMetrics metrics;
-  proto::ForwarderStats stats;   // merged across psets
+  obs::Snapshot fwd_metrics;     // "fwd.*", merged across psets (proto::merged_metrics)
   std::uint64_t sim_events = 0;
   sim::SimTime elapsed = 0;
 };

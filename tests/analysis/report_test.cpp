@@ -91,19 +91,45 @@ TEST(DiagTable, NoteColumnOmittedWhenUnused) {
 }
 
 TEST(DiagTable, BurstBufferTableShowsTheHeadlineStats) {
-  BurstBufferDiag d;
-  d.hit_rate = 0.95;
-  d.coalesce_ratio = 16.0;
-  d.flushed_bytes = 32ull << 20;
-  d.cached_high_watermark = 48ull << 20;
-  d.capacity_bytes = 64ull << 20;
-  const auto t = burst_buffer_table(d);
+  obs::MetricRegistry reg;
+  reg.counter("bb.read_bytes").add(100);
+  reg.counter("bb.read_hit_bytes").add(95);
+  reg.counter("bb.writes_in").add(64);
+  reg.counter("bb.backend_writes").add(4);
+  reg.counter("bb.flushed_bytes").add(32ull << 20);
+  reg.gauge("bb.cached_high_watermark").set(48ll << 20);
+  const obs::Snapshot snap = reg.snapshot();
+  EXPECT_DOUBLE_EQ(bb_hit_rate(snap), 0.95);
+  EXPECT_DOUBLE_EQ(bb_coalesce_ratio(snap), 16.0);
+  const auto t = burst_buffer_table(snap, 64ull << 20);
   const std::string out = t.render();
   EXPECT_NE(out.find("burst-buffer"), std::string::npos);
   EXPECT_NE(out.find("95%"), std::string::npos) << out;
   EXPECT_NE(out.find("16.00"), std::string::npos) << out;
   EXPECT_NE(out.find("32.0 MiB"), std::string::npos) << out;
   EXPECT_NE(out.find("75%"), std::string::npos) << out;  // 48/64 occupancy
+}
+
+TEST(DiagTable, BurstBufferRatiosWithoutTraffic) {
+  obs::MetricRegistry reg;
+  reg.counter("bb.writes_in").add(3);  // staged, nothing flushed or read yet
+  const obs::Snapshot snap = reg.snapshot();
+  EXPECT_DOUBLE_EQ(bb_hit_rate(snap), 0.0);
+  EXPECT_DOUBLE_EQ(bb_coalesce_ratio(snap), 3.0);
+}
+
+TEST(DiagTable, ResilienceTableReadsRegistryNames) {
+  obs::MetricRegistry reg;
+  reg.counter("retry.retries").add(7);
+  reg.counter("server.degraded_enters").add(2);
+  reg.counter("server.degraded_ns").add(3'000'000);
+  reg.counter("client.reconnects").add(5);
+  const auto t = resilience_table(reg.snapshot());
+  EXPECT_EQ(t.get("retries"), "7.00");
+  EXPECT_EQ(t.get("degraded spans"), "2.00");
+  EXPECT_EQ(t.get("reconnects"), "5.00");
+  EXPECT_EQ(t.get("retry giveups"), "0.00");
+  EXPECT_NE(t.render().find("3.00 ms total"), std::string::npos) << t.render();
 }
 
 }  // namespace

@@ -9,16 +9,20 @@
 #include <chrono>
 #include <thread>
 
+#include "analysis/report.hpp"
 #include "core/rng.hpp"
 #include "core/units.hpp"
 #include "fault/decorators.hpp"
 #include "rt/client.hpp"
 #include "rt/server.hpp"
+#include "testsupport/metrics.hpp"
 
 namespace iofwd::bb {
 namespace {
 
 using rt::MemBackend;
+using testsupport::counter;
+using testsupport::gauge;
 
 std::vector<std::byte> pattern(std::size_t n, std::uint64_t seed) {
   Rng rng(seed);
@@ -87,26 +91,26 @@ TEST(BurstBuffer, ReadYourWritesWithoutFlush) {
   ASSERT_TRUE(r.is_ok());
   EXPECT_EQ(r.value(), 64_KiB);
   EXPECT_EQ(out, data);
-  const auto s = fx.bbuf.stats();
-  EXPECT_EQ(s.backend_writes, 0u) << "read served from cache, no flush barrier";
-  EXPECT_DOUBLE_EQ(s.hit_rate(), 1.0);
+  const obs::Snapshot s = fx.bbuf.metrics();
+  EXPECT_EQ(counter(s, "bb.backend_writes"), 0u) << "read served from cache, no flush barrier";
+  EXPECT_DOUBLE_EQ(analysis::bb_hit_rate(s), 1.0);
   EXPECT_TRUE(fx.mem->snapshot("f").empty());
 }
 
 TEST(BurstBuffer, OutOfOrderBurstCoalescesToOneBackendWrite) {
   Fixture fx(quiet_config());
   ASSERT_TRUE(fx.bbuf.open(1, "f").is_ok());
-  // 16 chunks written in reverse: the sequential aggregator would issue one
+  // 16 chunks written in reverse: a sequential aggregation window would issue one
   // backend write per chunk; the extent index merges them into one run.
   const auto chunk = pattern(16_KiB, 2);
   for (int i = 15; i >= 0; --i) {
     ASSERT_TRUE(fx.bbuf.write(1, static_cast<std::uint64_t>(i) * chunk.size(), chunk).is_ok());
   }
-  EXPECT_EQ(fx.bbuf.stats().backend_writes, 0u);
+  EXPECT_EQ(counter(fx.bbuf.metrics(), "bb.backend_writes"), 0u);
   ASSERT_TRUE(fx.bbuf.fsync(1).is_ok());
-  const auto s = fx.bbuf.stats();
-  EXPECT_EQ(s.backend_writes, 1u) << "one coalesced flush for the whole burst";
-  EXPECT_GT(s.coalesce_ratio(), 10.0);
+  const obs::Snapshot s = fx.bbuf.metrics();
+  EXPECT_EQ(counter(s, "bb.backend_writes"), 1u) << "one coalesced flush for the whole burst";
+  EXPECT_GT(analysis::bb_coalesce_ratio(s), 10.0);
   EXPECT_EQ(fx.mem->snapshot("f").size(), 16 * 16_KiB);
 }
 
@@ -123,7 +127,7 @@ TEST(BurstBuffer, InterleavedStridedWritesCoalesce) {
     ASSERT_TRUE(fx.bbuf.write(1, static_cast<std::uint64_t>(i) * chunk.size(), chunk).is_ok());
   }
   ASSERT_TRUE(fx.bbuf.fsync(1).is_ok());
-  EXPECT_EQ(fx.bbuf.stats().backend_writes, 1u);
+  EXPECT_EQ(counter(fx.bbuf.metrics(), "bb.backend_writes"), 1u);
   EXPECT_EQ(fx.mem->snapshot("f").size(), 16 * 8_KiB);
 }
 
@@ -146,10 +150,11 @@ TEST(BurstBuffer, CachedBytesNeverExceedCapacity) {
     ASSERT_TRUE(fx.bbuf.write(1, static_cast<std::uint64_t>(i) * chunk.size(), chunk).is_ok());
   }
   ASSERT_TRUE(fx.bbuf.fsync(1).is_ok());
-  const auto s = fx.bbuf.stats();
-  EXPECT_LE(s.cached_high_watermark, cfg.capacity_bytes)
+  const obs::Snapshot s = fx.bbuf.metrics();
+  EXPECT_LE(gauge(s, "bb.cached_high_watermark"), static_cast<std::int64_t>(cfg.capacity_bytes))
       << "staged bytes must never exceed bb_bytes";
-  EXPECT_LT(s.backend_writes, s.writes_in) << "coalescing still wins under pressure";
+  EXPECT_LT(counter(s, "bb.backend_writes"), counter(s, "bb.writes_in"))
+      << "coalescing still wins under pressure";
   // Every byte landed despite evictions and stalls.
   const auto stored = fx.mem->snapshot("f");
   ASSERT_EQ(stored.size(), 64 * 16_KiB);
@@ -176,16 +181,17 @@ TEST(BurstBuffer, WatermarkTriggersBackgroundFlush) {
   }
   // No fsync: the background flushers must drain on their own.
   const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  while (fx.bbuf.stats().flushed_bytes == 0 && std::chrono::steady_clock::now() < deadline) {
+  const auto flushed = [&] { return counter(fx.bbuf.metrics(), "bb.flushed_bytes"); };
+  const auto cached = [&] { return gauge(fx.bbuf.metrics(), "bb.cached_bytes"); };
+  const auto quarter = static_cast<std::int64_t>(cfg.capacity_bytes / 4);
+  while (flushed() == 0 && std::chrono::steady_clock::now() < deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  EXPECT_GT(fx.bbuf.stats().flushed_bytes, 0u) << "flushers never woke";
-  while (fx.bbuf.stats().cached_bytes > cfg.capacity_bytes / 4 &&
-         std::chrono::steady_clock::now() < deadline) {
+  EXPECT_GT(flushed(), 0u) << "flushers never woke";
+  while (cached() > quarter && std::chrono::steady_clock::now() < deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  EXPECT_LE(fx.bbuf.stats().cached_bytes, cfg.capacity_bytes / 4)
-      << "flushers should drain below the low watermark";
+  EXPECT_LE(cached(), quarter) << "flushers should drain below the low watermark";
 }
 
 TEST(BurstBuffer, FsyncDrainsOnlyThatDescriptor) {
@@ -219,9 +225,9 @@ TEST(BurstBuffer, ReadMixesCachedExtentsAndBackendHoles) {
   EXPECT_TRUE(std::equal(old_data.begin(), old_data.begin() + 4_KiB, out.begin()));
   EXPECT_TRUE(std::equal(fresh.begin(), fresh.end(), out.begin() + 4_KiB));
   EXPECT_TRUE(std::equal(old_data.begin() + 8_KiB, old_data.end(), out.begin() + 8_KiB));
-  const auto s = fx.bbuf.stats();
-  EXPECT_EQ(s.read_hit_bytes, 4_KiB);
-  EXPECT_EQ(s.read_bytes, 12_KiB);
+  const obs::Snapshot s = fx.bbuf.metrics();
+  EXPECT_EQ(counter(s, "bb.read_hit_bytes"), 4_KiB);
+  EXPECT_EQ(counter(s, "bb.read_bytes"), 12_KiB);
 }
 
 TEST(BurstBuffer, SizeSeesStagedBytes) {
@@ -244,8 +250,9 @@ TEST(BurstBuffer, FlushErrorIsDeferredSurfacesOnceAndDoesNotLeak) {
   // Exactly once: the failed extent was dropped and the error consumed.
   fx.plan->clear();
   EXPECT_TRUE(fx.bbuf.fsync(1).is_ok());
-  EXPECT_EQ(fx.bbuf.stats().cached_bytes, 0u) << "failed extent leaked its lease";
-  EXPECT_EQ(fx.bbuf.stats().deferred_errors, 1u);
+  const obs::Snapshot s = fx.bbuf.metrics();
+  EXPECT_EQ(gauge(s, "bb.cached_bytes"), 0) << "failed extent leaked its lease";
+  EXPECT_EQ(counter(s, "bb.deferred_errors"), 1u);
   EXPECT_TRUE(fx.bbuf.close(1).is_ok());
 }
 
@@ -261,10 +268,11 @@ TEST(BurstBuffer, BackgroundFlushErrorBouncesNextOp) {
   fx.plan->fail_always(fault::OpKind::write, Errc::io_error);
   ASSERT_TRUE(fx.bbuf.write(1, 0, pattern(128_KiB, 11)).is_ok());  // over the watermark
   const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  while (fx.bbuf.stats().deferred_errors == 0 && std::chrono::steady_clock::now() < deadline) {
+  const auto deferred = [&] { return counter(fx.bbuf.metrics(), "bb.deferred_errors"); };
+  while (deferred() == 0 && std::chrono::steady_clock::now() < deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  ASSERT_GT(fx.bbuf.stats().deferred_errors, 0u) << "background flush never failed";
+  ASSERT_GT(deferred(), 0u) << "background flush never failed";
   fx.plan->clear();
   // Next op on the descriptor bounces with the recorded error, unexecuted...
   auto r = fx.bbuf.write(1, 1_MiB, pattern(4_KiB, 12));
@@ -273,7 +281,7 @@ TEST(BurstBuffer, BackgroundFlushErrorBouncesNextOp) {
   // ...and exactly once.
   EXPECT_TRUE(fx.bbuf.write(1, 1_MiB, pattern(4_KiB, 12)).is_ok());
   EXPECT_TRUE(fx.bbuf.close(1).is_ok());
-  EXPECT_EQ(fx.bbuf.stats().cached_bytes, 0u);
+  EXPECT_EQ(gauge(fx.bbuf.metrics(), "bb.cached_bytes"), 0);
 }
 
 TEST(BurstBuffer, DestructionDrainsEverything) {
@@ -315,10 +323,10 @@ TEST(BurstBuffer, ReadPinnedServesCoveredRangeWithoutCopy) {
   ASSERT_NE(pin->lease, nullptr);
   ASSERT_EQ(pin->bytes.size(), 4_KiB);
   EXPECT_TRUE(std::equal(pin->bytes.begin(), pin->bytes.end(), data.begin() + 1_KiB));
-  const auto s = fx.bbuf.stats();
-  EXPECT_EQ(s.pinned_reads, 1u);
-  EXPECT_EQ(s.read_hit_bytes, 4_KiB) << "a pinned read counts as a full cache hit";
-  EXPECT_EQ(s.backend_writes, 0u);
+  const obs::Snapshot s = fx.bbuf.metrics();
+  EXPECT_EQ(counter(s, "bb.pinned_reads"), 1u);
+  EXPECT_EQ(counter(s, "bb.read_hit_bytes"), 4_KiB) << "a pinned read counts as a full cache hit";
+  EXPECT_EQ(counter(s, "bb.backend_writes"), 0u);
 }
 
 TEST(BurstBuffer, ReadPinnedViewSurvivesOverwriteOfTheExtent) {
@@ -360,7 +368,8 @@ TEST(BurstBuffer, ReadPinnedMissesOnHolesPartialCoverageAndUnknownFd) {
   EXPECT_FALSE(fx.bbuf.read_pinned(1, 16_KiB, 4_KiB).has_value()) << "hole";
   EXPECT_FALSE(fx.bbuf.read_pinned(1, 8_KiB, 8_KiB).has_value()) << "partial coverage";
   EXPECT_TRUE(fx.bbuf.read_pinned(1, 4_KiB, 8_KiB).has_value()) << "exact coverage still hits";
-  EXPECT_EQ(fx.bbuf.stats().pinned_reads, 1u) << "misses must not count as pinned reads";
+  EXPECT_EQ(counter(fx.bbuf.metrics(), "bb.pinned_reads"), 1u)
+      << "misses must not count as pinned reads";
 }
 
 TEST(BurstBuffer, ReadPinnedDoesNotConsumeDeferredErrors) {
@@ -379,10 +388,11 @@ TEST(BurstBuffer, ReadPinnedDoesNotConsumeDeferredErrors) {
   fx.plan->fail_always(fault::OpKind::write, Errc::io_error);
   ASSERT_TRUE(fx.bbuf.write(1, 0, pattern(128_KiB, 26)).is_ok());  // over the watermark
   const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  while (fx.bbuf.stats().deferred_errors == 0 && std::chrono::steady_clock::now() < deadline) {
+  const auto deferred = [&] { return counter(fx.bbuf.metrics(), "bb.deferred_errors"); };
+  while (deferred() == 0 && std::chrono::steady_clock::now() < deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  ASSERT_GT(fx.bbuf.stats().deferred_errors, 0u) << "background flush never failed";
+  ASSERT_GT(deferred(), 0u) << "background flush never failed";
   fx.plan->clear();
 
   // The fast path must peek — not consume — the pending error: it misses, and
@@ -430,13 +440,27 @@ TEST(BurstBuffer, ComposesWithServerEndToEnd) {
 
   ASSERT_TRUE(client.fsync(1).is_ok());
   EXPECT_EQ(mem->snapshot("ckpt").size(), 16 * chunk.size());
-  const auto s = server.stats();
-  EXPECT_GT(s.bb_coalesce_ratio, 4.0);
-  EXPECT_GT(s.bb_flushed_bytes, 0u);
-  EXPECT_GT(s.bb_hit_rate, 0.0);
+  const obs::Snapshot s = server.metrics();
+  EXPECT_GT(analysis::bb_coalesce_ratio(s), 4.0);
+  EXPECT_GT(counter(s, "bb.flushed_bytes"), 0u);
+  EXPECT_GT(analysis::bb_hit_rate(s), 0.0);
   ASSERT_TRUE(client.close(1).is_ok());
   server.stop();
-  EXPECT_EQ(server.burst_buffer()->stats().cached_bytes, 0u);
+  EXPECT_EQ(gauge(server.burst_buffer()->metrics(), "bb.cached_bytes"), 0);
+}
+
+TEST(BurstBuffer, NonContiguousWritesLandAtTheirOffsets) {
+  Fixture fx(quiet_config());
+  ASSERT_TRUE(fx.bbuf.open(1, "f").is_ok());
+  const auto a = pattern(4_KiB, 31);
+  ASSERT_TRUE(fx.bbuf.write(1, 0, a).is_ok());
+  ASSERT_TRUE(fx.bbuf.write(1, 64_KiB, a).is_ok());  // leaves a hole
+  ASSERT_TRUE(fx.bbuf.fsync(1).is_ok());
+  EXPECT_EQ(counter(fx.bbuf.metrics(), "bb.backend_writes"), 2u) << "one write per extent";
+  const auto stored = fx.mem->snapshot("f");
+  ASSERT_EQ(stored.size(), 64_KiB + 4_KiB);
+  EXPECT_TRUE(std::equal(a.begin(), a.end(), stored.begin()));
+  EXPECT_TRUE(std::equal(a.begin(), a.end(), stored.begin() + 64_KiB));
 }
 
 }  // namespace

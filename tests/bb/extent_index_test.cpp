@@ -44,7 +44,7 @@ TEST(ExtentIndex, SequentialAppendsStayOneExtent) {
 TEST(ExtentIndex, OutOfOrderWritesMergeIntoOneExtent) {
   rt::BufferPool pool(1_MiB);
   ExtentIndex idx;
-  // Reverse order: the aggregator's sequential window cannot absorb this.
+  // Reverse order: a sequential aggregation window cannot absorb this.
   ASSERT_TRUE(idx.insert(8192, fill(4096, 3), pool).is_ok());
   ASSERT_TRUE(idx.insert(4096, fill(4096, 2), pool).is_ok());
   ASSERT_TRUE(idx.insert(0, fill(4096, 1), pool).is_ok());

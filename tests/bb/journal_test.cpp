@@ -1,6 +1,7 @@
 // Write-ahead journal semantics (DESIGN.md §16): record framing and replay,
-// torn-tail and corrupt-record tolerance, idle truncation, the StagedModel's
-// newest-wins byte semantics, and the full crash -> recover cycle through
+// torn-tail and corrupt-record tolerance, idle truncation and its failure
+// path, the StagedModel's newest-wins byte semantics, and the full
+// crash -> recover cycle through
 // BurstBufferBackend ("acked => journaled" made observable).
 #include "bb/journal.hpp"
 
@@ -187,6 +188,38 @@ TEST(Journal, IdleTruncationCompactsTheLogAndKeepsOpens) {
   ASSERT_EQ(files.size(), 1u);
   EXPECT_EQ(files.at(9).path, "keep");
   EXPECT_TRUE(files.at(9).runs.empty());
+}
+
+TEST(Journal, FailedTruncationKeepsTheOldSegments) {
+  TempDir td;
+  const auto data = pattern(4096, 0x7a7);
+  {
+    JournalConfig cfg;
+    cfg.dir = td.path;
+    cfg.fsync_each = true;  // also walks the directory-fsync path
+    auto r = Journal::open(cfg);
+    ASSERT_TRUE(r.is_ok()) << r.status().to_string();
+    auto j = std::move(r).value();
+    ASSERT_TRUE(j->append_open(3, "bound").is_ok());
+    ASSERT_TRUE(j->append_stage(3, 0, data).is_ok());
+    // The truncation's fresh segment would be wal-000002.seg: a directory
+    // already sits at that path, so creating it fails.
+    const std::string blocker = td.path + "/wal-000002.seg";
+    ASSERT_TRUE(std::filesystem::create_directory(blocker));
+    EXPECT_FALSE(j->append_retire(3, 0, 4096).is_ok()) << "the new segment cannot exist";
+    EXPECT_TRUE(std::filesystem::exists(td.path + "/wal-000001.seg"))
+        << "the old segment was unlinked before its replacement existed";
+    std::filesystem::remove(blocker);
+  }
+  // A restarted journal still replays the descriptor binding.
+  auto j = open_journal(td.path);
+  StagedModel model;
+  auto counts = j->replay(model.visitor());
+  ASSERT_TRUE(counts.is_ok());
+  const auto files = model.files();
+  ASSERT_EQ(files.count(3), 1u) << "the OPEN binding was lost";
+  EXPECT_EQ(files.at(3).path, "bound");
+  EXPECT_TRUE(files.at(3).runs.empty()) << "the RETIRE landed before the truncation";
 }
 
 TEST(Journal, RotatesSegmentsPastTheConfiguredSize) {

@@ -9,11 +9,13 @@
 
 #include "cluster/health.hpp"
 #include "cluster/routing_client.hpp"
+#include "testsupport/metrics.hpp"
 #include "testsupport/testsupport.hpp"
 
 namespace iofwd::cluster {
 namespace {
 
+using testsupport::counter;
 using testsupport::ClusterOptions;
 using testsupport::TestCluster;
 
@@ -58,12 +60,12 @@ TEST(Breaker, OpensOnDeadShardFailsFastAndReadmitsViaProbe) {
   // still pays the (tight) reconnect budget; after down_after of them the
   // shard is marked down.
   int failures = 0;
-  for (int i = 0; i < 10 && rc.stats().breaker_opens == 0; ++i) {
+  for (int i = 0; i < 10 && counter(rc.metrics(), "client.breaker.opens") == 0; ++i) {
     Status st = rc.fsync(vfd);
     EXPECT_FALSE(st.is_ok());
     ++failures;
   }
-  EXPECT_EQ(rc.stats().breaker_opens, 1u);
+  EXPECT_EQ(counter(rc.metrics(), "client.breaker.opens"), 1u);
   EXPECT_GE(failures, rc.shard_health(victim).config().down_after);
   EXPECT_EQ(rc.shard_health(victim).state(), HealthState::down);
 
@@ -74,12 +76,12 @@ TEST(Breaker, OpensOnDeadShardFailsFastAndReadmitsViaProbe) {
   EXPECT_FALSE(fast.is_ok());
   EXPECT_EQ(fast.code(), Errc::not_connected);
   EXPECT_NE(fast.message().find("circuit open"), std::string::npos) << fast.message();
-  EXPECT_GE(rc.stats().breaker_fast_fails, 1u);
+  EXPECT_GE(counter(rc.metrics(), "client.breaker.fast_fails"), 1u);
 
   // The sibling serves throughout — per-shard health, not fleet health.
   EXPECT_TRUE(rc.fsync(sfd).is_ok());
   EXPECT_EQ(rc.shard_health(sibling).state(), HealthState::healthy);
-  EXPECT_EQ(rc.stats().breaker_opens, 1u);
+  EXPECT_EQ(counter(rc.metrics(), "client.breaker.opens"), 1u);
 
   tc.restart_shard(victim);
   std::this_thread::sleep_for(std::chrono::milliseconds(250));
@@ -90,9 +92,9 @@ TEST(Breaker, OpensOnDeadShardFailsFastAndReadmitsViaProbe) {
   Status st = rc.fsync(vfd);
   EXPECT_TRUE(st.is_ok()) << st.to_string();
   EXPECT_EQ(rc.shard_health(victim).state(), HealthState::healthy);
-  const auto stats = rc.stats();
-  EXPECT_GE(stats.breaker_probes, 1u);
-  EXPECT_GE(stats.breaker_closes, 1u);
+  const obs::Snapshot cm = rc.metrics();
+  EXPECT_GE(counter(cm, "client.breaker.probes"), 1u);
+  EXPECT_GE(counter(cm, "client.breaker.closes"), 1u);
 
   // Readmitted for real: a write lands and reads back.
   const auto data = testsupport::pattern(512, 0x5eed);
@@ -112,7 +114,7 @@ TEST(Breaker, ProbeAgainstStillDeadShardReopens) {
   ASSERT_TRUE(rc.open(vfd, "v").is_ok());
 
   tc.kill_shard(victim);
-  for (int i = 0; i < 10 && rc.stats().breaker_opens == 0; ++i) {
+  for (int i = 0; i < 10 && counter(rc.metrics(), "client.breaker.opens") == 0; ++i) {
     EXPECT_FALSE(rc.fsync(vfd).is_ok());
   }
   ASSERT_EQ(rc.shard_health(victim).state(), HealthState::down);
@@ -122,8 +124,9 @@ TEST(Breaker, ProbeAgainstStillDeadShardReopens) {
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
   Status st = rc.fsync(vfd);
   EXPECT_FALSE(st.is_ok());
-  EXPECT_GE(rc.stats().breaker_probes, 1u);
-  EXPECT_EQ(rc.stats().breaker_closes, 0u);
+  const obs::Snapshot cm = rc.metrics();
+  EXPECT_GE(counter(cm, "client.breaker.probes"), 1u);
+  EXPECT_EQ(counter(cm, "client.breaker.closes"), 0u);
   EXPECT_EQ(rc.shard_health(victim).state(), HealthState::down);
 }
 

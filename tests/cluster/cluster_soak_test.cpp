@@ -26,11 +26,14 @@
 #include "fault/decorators.hpp"
 #include "rt/client.hpp"
 #include "rt/server.hpp"
+#include "testsupport/metrics.hpp"
 #include "testsupport/testsupport.hpp"
 
 namespace iofwd::cluster {
 namespace {
 
+using testsupport::counter;
+using testsupport::gauge;
 using testsupport::ClusterOptions;
 using testsupport::TestCluster;
 using testsupport::pattern;
@@ -185,7 +188,7 @@ TEST_P(ClusterSoak, CrossShardReadYourWritesWithPerShardAccounting) {
   // Isolation: every op on every shard succeeded (or recovered).
   EXPECT_EQ(failures, 0) << "a client failed an op it should have recovered from";
   for (int c = 0; c < kClients; ++c) {
-    EXPECT_EQ(tc.client(static_cast<std::size_t>(c)).stats().giveups, 0u);
+    EXPECT_EQ(counter(tc.client(static_cast<std::size_t>(c)).metrics(), "client.giveups"), 0u);
   }
 
   // Per-shard CRC ledger: every flip injected on shard s's connections was
@@ -198,11 +201,14 @@ TEST_P(ClusterSoak, CrossShardReadYourWritesWithPerShardAccounting) {
       std::uint64_t detected = 0;
       for (int c = 0; c < kClients; ++c) {
         injected += plans[static_cast<std::size_t>(c)][static_cast<std::size_t>(s)]->fired();
-        const auto cs = tc.routing_client(static_cast<std::size_t>(c)).shard_client(s).stats();
-        detected += cs.header_crc_errors + cs.payload_crc_errors;
+        const obs::Snapshot cs =
+            tc.routing_client(static_cast<std::size_t>(c)).shard_client(s).metrics();
+        detected += counter(cs, "client.integrity.header_crc_errors") +
+                    counter(cs, "client.integrity.payload_crc_errors");
       }
-      const auto ss = tc.server(s).stats();
-      detected += ss.header_crc_errors + ss.payload_crc_errors;
+      const obs::Snapshot ss = tc.server(s).metrics();
+      detected += counter(ss, "server.integrity.header_crc_errors") +
+                  counter(ss, "server.integrity.payload_crc_errors");
       EXPECT_EQ(detected, injected) << "shard " << s << " ledger out of balance";
       total_injected += injected;
     }
@@ -212,9 +218,9 @@ TEST_P(ClusterSoak, CrossShardReadYourWritesWithPerShardAccounting) {
   // Fleet-wide clean drain, then golden-model integrity per (client, shard).
   tc.stop();
   for (int s = 0; s < n_shards; ++s) {
-    const auto st = tc.server(s).stats();
-    EXPECT_EQ(st.bml_in_use, 0u) << "shard " << s << " leaked a BML lease";
-    EXPECT_EQ(st.bb_cached_bytes, 0u) << "shard " << s << " leaked staged bytes";
+    const obs::Snapshot st = tc.server(s).metrics();
+    EXPECT_EQ(gauge(st, "server.bml_in_use"), 0) << "shard " << s << " leaked a BML lease";
+    EXPECT_EQ(gauge(st, "bb.cached_bytes"), 0) << "shard " << s << " leaked staged bytes";
   }
   for (int c = 0; c < kClients; ++c) {
     for (int s = 0; s < n_shards; ++s) {

@@ -13,11 +13,13 @@
 #include "rt/client.hpp"
 #include "rt/server.hpp"
 #include "rt/wire.hpp"
+#include "testsupport/metrics.hpp"
 #include "testsupport/testsupport.hpp"
 
 namespace iofwd::cluster {
 namespace {
 
+using testsupport::counter;
 using testsupport::ClusterOptions;
 using testsupport::TestCluster;
 using testsupport::pattern;
@@ -109,15 +111,15 @@ TEST(Cluster, PerShardKillRedialReplaysOnlyThatShard) {
   // Exactly the victim shard's client reconnected and replayed; its
   // siblings never noticed.
   for (int s = 0; s < 4; ++s) {
-    const auto cs = rc.shard_client(s).stats();
+    const obs::Snapshot cs = rc.shard_client(s).metrics();
     if (s == victim) {
-      EXPECT_GE(cs.reconnects, 1u) << "victim shard must have redialed";
-      EXPECT_GE(cs.replays, 1u);
+      EXPECT_GE(counter(cs, "client.reconnects"), 1u) << "victim shard must have redialed";
+      EXPECT_GE(counter(cs, "client.replays"), 1u);
     } else {
-      EXPECT_EQ(cs.reconnects, 0u) << "shard " << s << " redialed spuriously";
-      EXPECT_EQ(cs.replays, 0u);
+      EXPECT_EQ(counter(cs, "client.reconnects"), 0u) << "shard " << s << " redialed spuriously";
+      EXPECT_EQ(counter(cs, "client.replays"), 0u);
     }
-    EXPECT_EQ(cs.giveups, 0u);
+    EXPECT_EQ(counter(cs, "client.giveups"), 0u);
   }
 
   // Every byte survived, including the cut-then-replayed burst.
@@ -156,7 +158,7 @@ TEST(Cluster, DrainShardLeavesSiblingsServing) {
   tc.ion_cluster()->drain_shard(0);
   EXPECT_EQ(tc.mem(0).snapshot("drain0").size(), data.size())
       << "drained shard still holds dirty bytes";
-  EXPECT_GE(tc.server(0).stats().bb_flushed_bytes, data.size());
+  EXPECT_GE(counter(tc.server(0).metrics(), "bb.flushed_bytes"), data.size());
 
   for (int s = 0; s < 2; ++s) {
     const int fd = fds[static_cast<std::size_t>(s)];

@@ -16,11 +16,13 @@
 #include "cluster/routing_client.hpp"
 #include "core/rng.hpp"
 #include "core/units.hpp"
+#include "testsupport/metrics.hpp"
 #include "testsupport/testsupport.hpp"
 
 namespace iofwd::cluster {
 namespace {
 
+using testsupport::counter;
 using testsupport::ClusterOptions;
 using testsupport::TestCluster;
 
@@ -148,9 +150,9 @@ TEST(ShardCrash, KilledShardRecoversEveryAckedByte) {
   ASSERT_TRUE(snap.counters.count(vic + "bb.journal.recovered"));
   EXPECT_GT(snap.counters.at(vic + "bb.journal.recovered"), 0u)
       << "the victim had acked staged extents; replay must recover them";
-  const auto cstats = rc.stats();
-  EXPECT_GE(cstats.breaker_opens, 1u);
-  EXPECT_GE(cstats.breaker_closes, 1u);
+  const obs::Snapshot cm = rc.metrics();
+  EXPECT_GE(counter(cm, "client.breaker.opens"), 1u);
+  EXPECT_GE(counter(cm, "client.breaker.closes"), 1u);
 
   // Phase E: drain everything and verify golden-byte equality — zero acked
   // bytes lost, none duplicated, none reordered.

@@ -16,11 +16,13 @@
 #include "fault/retry.hpp"
 #include "rt/client.hpp"
 #include "rt/server.hpp"
+#include "testsupport/metrics.hpp"
 #include "testsupport/testsupport.hpp"
 
 namespace iofwd::fault {
 namespace {
 
+using testsupport::gauge;
 using namespace std::chrono_literals;
 using testsupport::ClusterOptions;
 using testsupport::TestCluster;
@@ -134,9 +136,9 @@ TEST(Chaos, SeededFaultStormLeavesServerHealthy) {
   // Quiesce, then check the ledgers: no leaked BML leases, no leaked cache
   // leases, and the healthy files fully landed in the terminal backend.
   tc.stop();
-  const auto st = tc.server().stats();
-  EXPECT_EQ(st.bml_in_use, 0u) << "BML pool leaked a lease";
-  EXPECT_EQ(st.bb_cached_bytes, 0u) << "burst-buffer cache leaked a lease";
+  const obs::Snapshot st = tc.server().metrics();
+  EXPECT_EQ(gauge(st, "server.bml_in_use"), 0) << "BML pool leaked a lease";
+  EXPECT_EQ(gauge(st, "bb.cached_bytes"), 0) << "burst-buffer cache leaked a lease";
 
   for (int id = 0; id < kHealthy; ++id) {
     const auto all = tc.snapshot("healthy" + std::to_string(id));

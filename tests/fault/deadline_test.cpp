@@ -8,10 +8,12 @@
 #include "fault/decorators.hpp"
 #include "rt/client.hpp"
 #include "rt/server.hpp"
+#include "testsupport/metrics.hpp"
 
 namespace iofwd::fault {
 namespace {
 
+using testsupport::counter;
 using namespace std::chrono_literals;
 
 TEST(Deadline, FrameHeaderCarriesDeadline) {
@@ -49,7 +51,7 @@ TEST(Deadline, ServerBouncesExpiredOpWithoutExecuting) {
 
   Status st = client.fsync(1);
   EXPECT_EQ(st.code(), Errc::timed_out) << st.to_string();
-  EXPECT_GE(server.stats().deadline_expired, 1u);
+  EXPECT_GE(counter(server.metrics(), "server.deadline_expired"), 1u);
 }
 
 TEST(Deadline, UnexpiredOpsAreUnaffected) {
@@ -70,7 +72,7 @@ TEST(Deadline, UnexpiredOpsAreUnaffected) {
   ASSERT_TRUE(r.is_ok());
   EXPECT_EQ(r.value(), data);
   EXPECT_TRUE(client.close(1).is_ok());
-  EXPECT_EQ(server.stats().deadline_expired, 0u);
+  EXPECT_EQ(counter(server.metrics(), "server.deadline_expired"), 0u);
 }
 
 TEST(Deadline, ClientWatchdogKillsHungRoundtrip) {
@@ -86,7 +88,7 @@ TEST(Deadline, ClientWatchdogKillsHungRoundtrip) {
   const auto elapsed = std::chrono::steady_clock::now() - t0;
   EXPECT_EQ(st.code(), Errc::timed_out) << st.to_string();
   EXPECT_LT(elapsed, 5s) << "watchdog did not fire";
-  EXPECT_EQ(client.stats().timeouts, 1u);
+  EXPECT_EQ(counter(client.metrics(), "client.timeouts"), 1u);
   s->close();
 }
 
@@ -102,7 +104,7 @@ TEST(Deadline, WatchdogDoesNotFireOnFastRoundtrips) {
     ASSERT_TRUE(client.open(i, std::string("f").append(std::to_string(i))).is_ok());
     ASSERT_TRUE(client.close(i).is_ok());
   }
-  EXPECT_EQ(client.stats().timeouts, 0u);
+  EXPECT_EQ(counter(client.metrics(), "client.timeouts"), 0u);
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <future>
+#include <thread>
 
 #include "bb/burst_buffer.hpp"
 #include "core/units.hpp"
@@ -11,11 +12,13 @@
 #include "rt/async_client.hpp"
 #include "rt/client.hpp"
 #include "rt/server.hpp"
+#include "testsupport/metrics.hpp"
 #include "testsupport/testsupport.hpp"
 
 namespace iofwd::fault {
 namespace {
 
+using testsupport::counter;
 using namespace std::chrono_literals;
 using testsupport::ClusterOptions;
 using testsupport::TestCluster;
@@ -41,9 +44,9 @@ TEST(Degradation, BmlExhaustionFallsBackToPassThrough) {
   ASSERT_TRUE(client.write(1, a.size(), b).is_ok()) << "degraded write must still succeed";
 
   ASSERT_TRUE(client.fsync(1).is_ok());
-  const auto st = tc.server().stats();
-  EXPECT_GE(st.bml_timeouts, 1u);
-  EXPECT_GE(st.degraded_passthrough_ops, 1u);
+  const obs::Snapshot st = tc.server().metrics();
+  EXPECT_GE(counter(st, "server.bml_timeouts"), 1u);
+  EXPECT_GE(counter(st, "server.degraded_passthrough_ops"), 1u);
 
   // Data integrity across both paths.
   const auto all = tc.snapshot("f");
@@ -96,7 +99,7 @@ TEST(Degradation, BurstBufferStallBoundWritesThrough) {
   ASSERT_TRUE(bbuf.write(1, 0, a).is_ok());  // fits the cache
   // No lease available: stalls, gives up after max_stall_ms, writes through.
   ASSERT_TRUE(bbuf.write(1, off_b, b).is_ok());
-  EXPECT_GE(bbuf.stats().degraded_writes, 1u);
+  EXPECT_GE(counter(bbuf.metrics(), "bb.degraded_writes"), 1u);
 
   ASSERT_TRUE(bbuf.fsync(1).is_ok());
   const auto all = mem->snapshot("f");
@@ -137,10 +140,52 @@ TEST(Degradation, QueueDepthWatermarkForcesSyncStaging) {
   for (auto& f : futures) EXPECT_TRUE(f.get().is_ok());
   ASSERT_TRUE(client.fsync(1).get().is_ok());
 
-  const auto st = tc.server().stats();
-  EXPECT_GE(st.degraded_enters, 1u) << "queue depth never crossed the watermark";
-  EXPECT_GE(st.degraded_sync_writes, 1u);
-  EXPECT_GT(st.degraded_ns, 0u);
+  const obs::Snapshot st = tc.server().metrics();
+  EXPECT_GE(counter(st, "server.degraded_enters"), 1u) << "queue depth never crossed the watermark";
+  EXPECT_GE(counter(st, "server.degraded_sync_writes"), 1u);
+  EXPECT_GT(counter(st, "server.degraded_ns"), 0u);
+  EXPECT_TRUE(client.close_fd(1).get().is_ok());
+}
+
+TEST(Degradation, OpenDegradedSpanCountsOnEveryRead) {
+  // Low watermark 0: once the pipelined burst tips the server into sync
+  // staging it stays there (only an admitted write re-evaluates the depth).
+  // server.degraded_ns must still advance with wall time on every read —
+  // metrics() banks the open span — and never move backwards.
+  ClusterOptions o;
+  o.server.exec = rt::ExecModel::work_queue_async;
+  o.server.workers = 1;
+  o.server.degraded_high_watermark = 4;
+  o.server.degraded_low_watermark = 0;
+  o.clients = 0;
+  TestCluster tc(o);
+  tc.backend_plan().add({.op = OpKind::write,
+                         .probability = 1.0,
+                         .transient = false,
+                         .error = Errc::ok,
+                         .latency = 5'000us});
+
+  auto stream = tc.factory()();
+  ASSERT_TRUE(stream.is_ok());
+  rt::AsyncClient client(std::move(stream).value(), /*window=*/32);
+  ASSERT_TRUE(client.open(1, "q").get().is_ok());
+  const auto data = pattern(4_KiB, 7);
+  std::vector<std::future<Status>> futures;
+  for (int i = 0; i < 12; ++i) {
+    futures.push_back(client.write(1, static_cast<std::uint64_t>(i) * data.size(), data));
+  }
+  for (auto& f : futures) EXPECT_TRUE(f.get().is_ok());
+  ASSERT_TRUE(client.fsync(1).get().is_ok());
+
+  const obs::Snapshot first = tc.server().metrics();
+  ASSERT_EQ(counter(first, "server.degraded_enters"), 1u) << "the burst never degraded";
+  std::this_thread::sleep_for(20ms);
+  const obs::Snapshot second = tc.server().metrics();
+  EXPECT_EQ(counter(second, "server.degraded_enters"), 1u) << "left degraded mode early";
+  ASSERT_GE(counter(second, "server.degraded_ns"), counter(first, "server.degraded_ns"));
+  EXPECT_GE(counter(second, "server.degraded_ns") - counter(first, "server.degraded_ns"),
+            std::uint64_t{20'000'000})
+      << "the open span did not reach the counter";
   EXPECT_TRUE(client.close_fd(1).get().is_ok());
 }
 

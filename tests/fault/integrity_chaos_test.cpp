@@ -20,11 +20,13 @@
 #include "fault/decorators.hpp"
 #include "rt/client.hpp"
 #include "rt/server.hpp"
+#include "testsupport/metrics.hpp"
 #include "testsupport/testsupport.hpp"
 
 namespace iofwd::fault {
 namespace {
 
+using testsupport::counter;
 using testsupport::ClusterOptions;
 using testsupport::TestCluster;
 using testsupport::pattern;
@@ -83,19 +85,23 @@ TEST(IntegrityChaos, OnePercentBitFlipsAllDetectedAllRecovered) {
   ASSERT_TRUE(client.close(1).is_ok());
 
   // --- 1. every corruption detected -------------------------------------
-  const auto cs = client.stats();
-  const auto ss = tc.server().stats();
+  const obs::Snapshot cs = client.metrics();
+  const obs::Snapshot ss = tc.server().metrics();
   const std::uint64_t injected = plan->fired();
-  const std::uint64_t detected = cs.header_crc_errors + cs.payload_crc_errors +
-                                 ss.header_crc_errors + ss.payload_crc_errors;
+  const std::uint64_t detected = counter(cs, "client.integrity.header_crc_errors") +
+                                 counter(cs, "client.integrity.payload_crc_errors") +
+                                 counter(ss, "server.integrity.header_crc_errors") +
+                                 counter(ss, "server.integrity.payload_crc_errors");
   EXPECT_GT(injected, 10u) << "storm too quiet to prove anything";
   EXPECT_EQ(detected, injected) << "an injected corruption went undetected";
   // A request-payload bounce is the server detecting + the client replaying.
-  EXPECT_EQ(cs.request_bounces, ss.payload_crc_errors);
+  EXPECT_EQ(counter(cs, "client.integrity.request_bounces"),
+            counter(ss, "server.integrity.payload_crc_errors"));
 
   // --- 2. every op succeeded via replay ----------------------------------
-  EXPECT_EQ(cs.giveups, 0u);
-  EXPECT_GE(cs.reconnects + cs.request_bounces, 1u) << "recovery paths never exercised";
+  EXPECT_EQ(counter(cs, "client.giveups"), 0u);
+  EXPECT_GE(counter(cs, "client.reconnects") + counter(cs, "client.integrity.request_bounces"), 1u)
+      << "recovery paths never exercised";
 
   // --- 3. stored bytes match the golden model ----------------------------
   const auto all = tc.snapshot("chaos");
@@ -136,8 +142,9 @@ TEST(IntegrityChaos, V0PeersStayBlindToCorruption) {
   ASSERT_TRUE(client.close(1).is_ok());
 
   ASSERT_EQ(plan->fired(), 1u);
-  EXPECT_EQ(tc.server().stats().payload_crc_errors, 0u);
-  EXPECT_EQ(tc.server().stats().header_crc_errors, 0u);
+  const obs::Snapshot ss = tc.server().metrics();
+  EXPECT_EQ(counter(ss, "server.integrity.payload_crc_errors"), 0u);
+  EXPECT_EQ(counter(ss, "server.integrity.header_crc_errors"), 0u);
   const auto all = tc.snapshot("blind");
   ASSERT_EQ(all.size(), 3 * data.size());
   std::size_t mismatched = 0;

@@ -7,11 +7,13 @@
 #include "fault/decorators.hpp"
 #include "rt/client.hpp"
 #include "rt/server.hpp"
+#include "testsupport/metrics.hpp"
 #include "testsupport/testsupport.hpp"
 
 namespace iofwd::fault {
 namespace {
 
+using testsupport::counter;
 using testsupport::ClusterOptions;
 using testsupport::TestCluster;
 using testsupport::pattern;
@@ -55,10 +57,10 @@ TEST(Reconnect, MidBurstCutReplaysTransparently) {
                            all.begin() + static_cast<std::ptrdiff_t>(i * data.size())))
         << "burst " << i << " corrupted";
   }
-  const auto cs = client.stats();
-  EXPECT_GE(cs.reconnects, 1u);
-  EXPECT_GE(cs.replays, 1u);
-  EXPECT_EQ(cs.giveups, 0u);
+  const obs::Snapshot cs = client.metrics();
+  EXPECT_GE(counter(cs, "client.reconnects"), 1u);
+  EXPECT_GE(counter(cs, "client.replays"), 1u);
+  EXPECT_EQ(counter(cs, "client.giveups"), 0u);
 }
 
 TEST(Reconnect, ReplayedReadAfterReconnectSeesEarlierWrites) {
@@ -75,7 +77,7 @@ TEST(Reconnect, ReplayedReadAfterReconnectSeesEarlierWrites) {
   auto r = client.read(3, 0, data.size());
   ASSERT_TRUE(r.is_ok()) << r.status().to_string();
   EXPECT_EQ(r.value(), data);
-  EXPECT_GE(client.stats().reconnects, 1u);
+  EXPECT_GE(counter(client.metrics(), "client.reconnects"), 1u);
 }
 
 TEST(Reconnect, WithoutFactoryTheCutSurfaces) {
@@ -115,8 +117,9 @@ TEST(Reconnect, BoundedAttemptsThenGiveup) {
   Status st = client.write(1, 0, pattern(4_KiB, 14));
   EXPECT_FALSE(st.is_ok());
   EXPECT_EQ(dials, 2) << "exactly reconnect_attempts dials";
-  EXPECT_EQ(client.stats().giveups, 1u);
-  EXPECT_EQ(client.stats().replays, 0u);
+  const obs::Snapshot cs = client.metrics();
+  EXPECT_EQ(counter(cs, "client.giveups"), 1u);
+  EXPECT_EQ(counter(cs, "client.replays"), 0u);
 }
 
 TEST(Reconnect, ShutdownOpcodeNeverReconnects) {

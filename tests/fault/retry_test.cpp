@@ -7,9 +7,12 @@
 #include <cstring>
 
 #include "fault/decorators.hpp"
+#include "testsupport/metrics.hpp"
 
 namespace iofwd::fault {
 namespace {
+
+using testsupport::counter;
 
 std::vector<std::byte> bytes_of(const char* s) {
   std::vector<std::byte> v(std::strlen(s));
@@ -48,11 +51,11 @@ TEST(RetryingBackend, TransientFaultIsAbsorbed) {
   plan->add({.op = OpKind::write, .nth = 1, .burst = 2, .error = Errc::io_error});
   auto r = be.write(1, 0, bytes_of("payload"));
   ASSERT_TRUE(r.is_ok()) << r.status().to_string();
-  const auto s = be.stats();
-  EXPECT_EQ(s.retries, 2u);
-  EXPECT_EQ(s.giveups, 0u);
-  EXPECT_EQ(s.attempts, 4u);  // open + three write attempts
-  EXPECT_GT(s.backoff_ns, 0u);
+  const obs::Snapshot s = be.registry().snapshot();
+  EXPECT_EQ(counter(s, "retry.retries"), 2u);
+  EXPECT_EQ(counter(s, "retry.giveups"), 0u);
+  EXPECT_EQ(counter(s, "retry.attempts"), 4u);  // open + three write attempts
+  EXPECT_GT(counter(s, "retry.backoff_ns"), 0u);
 }
 
 TEST(RetryingBackend, PermanentErrorFailsImmediately) {
@@ -62,9 +65,9 @@ TEST(RetryingBackend, PermanentErrorFailsImmediately) {
   ASSERT_TRUE(be.open(1, "f").is_ok());
   plan->fail_always(OpKind::write, Errc::invalid_argument);
   EXPECT_EQ(be.write(1, 0, bytes_of("x")).code(), Errc::invalid_argument);
-  const auto s = be.stats();
-  EXPECT_EQ(s.retries, 0u) << "permanent errors must not be retried";
-  EXPECT_EQ(s.giveups, 0u);
+  const obs::Snapshot s = be.registry().snapshot();
+  EXPECT_EQ(counter(s, "retry.retries"), 0u) << "permanent errors must not be retried";
+  EXPECT_EQ(counter(s, "retry.giveups"), 0u);
 }
 
 TEST(RetryingBackend, ExhaustedBudgetIsAGiveup) {
@@ -74,16 +77,16 @@ TEST(RetryingBackend, ExhaustedBudgetIsAGiveup) {
   ASSERT_TRUE(be.open(1, "f").is_ok());
   plan->fail_always(OpKind::write, Errc::io_error);
   EXPECT_EQ(be.write(1, 0, bytes_of("x")).code(), Errc::io_error);
-  const auto s = be.stats();
-  EXPECT_EQ(s.retries, 2u);  // 3 attempts = 2 retries
-  EXPECT_EQ(s.giveups, 1u);
+  const obs::Snapshot s = be.registry().snapshot();
+  EXPECT_EQ(counter(s, "retry.retries"), 2u);  // 3 attempts = 2 retries
+  EXPECT_EQ(counter(s, "retry.giveups"), 1u);
   EXPECT_EQ(plan->calls(OpKind::write), 3u);
 }
 
 TEST(RetryingBackend, UnknownFdErrorPassesThroughUnretried) {
   RetryingBackend be(std::make_unique<rt::MemBackend>(), fast_policy());
   EXPECT_EQ(be.write(77, 0, bytes_of("x")).code(), Errc::bad_descriptor);
-  EXPECT_EQ(be.stats().retries, 0u);
+  EXPECT_EQ(counter(be.registry().snapshot(), "retry.retries"), 0u);
 }
 
 TEST(RetryingBackend, AllOpsGoThroughTheRetryLoop) {
@@ -105,7 +108,7 @@ TEST(RetryingBackend, AllOpsGoThroughTheRetryLoop) {
   EXPECT_TRUE(be.fsync(1).is_ok());
   EXPECT_TRUE(be.size(1).is_ok());
   EXPECT_TRUE(be.close(1).is_ok());
-  EXPECT_EQ(be.stats().retries, 6u);
+  EXPECT_EQ(counter(be.registry().snapshot(), "retry.retries"), 6u);
 }
 
 TEST(RetryingBackend, DataLandsCorrectlyAfterRetries) {
@@ -122,7 +125,8 @@ TEST(RetryingBackend, DataLandsCorrectlyAfterRetries) {
     ASSERT_TRUE(be.write(1, i * data.size(), data).is_ok()) << "write " << i;
   }
   EXPECT_EQ(mem->snapshot("f").size(), 32 * data.size());
-  EXPECT_GT(be.stats().retries, 0u) << "the 50% fault rate should have caused retries";
+  EXPECT_GT(counter(be.registry().snapshot(), "retry.retries"), 0u)
+      << "the 50% fault rate should have caused retries";
 }
 
 }  // namespace

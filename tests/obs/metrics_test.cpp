@@ -155,5 +155,31 @@ TEST(MetricRegistry, SnapshotCoversAllKindsByName) {
   EXPECT_EQ(s.histogram("missing"), nullptr);
 }
 
+TEST(MetricRegistry, MergeSumAddsCountersAndKeepsPeakGauges) {
+  MetricRegistry a;
+  MetricRegistry b;
+  a.counter("x.ops").add(3);
+  b.counter("x.ops").add(4);
+  b.counter("x.only_b").add(1);
+  a.gauge("x.max_depth").set(9);
+  b.gauge("x.max_depth").set(5);
+  a.histogram("x.lat").record(10);
+  b.histogram("x.lat").record(1000);
+  b.histogram("x.lat").record(2);
+
+  Snapshot total;
+  merge_sum(total, a.snapshot());
+  merge_sum(total, b.snapshot());
+  EXPECT_EQ(total.counter("x.ops"), 7u);
+  EXPECT_EQ(total.counter("x.only_b"), 1u);
+  EXPECT_EQ(total.gauge("x.max_depth"), 9);
+  const HistogramSnapshot* h = total.histogram("x.lat");
+  ASSERT_NE(h, nullptr);
+  EXPECT_EQ(h->count, 3u);
+  EXPECT_EQ(h->sum, 1012u);
+  EXPECT_EQ(h->max, 1000u);
+  EXPECT_GE(h->p99, b.snapshot().histogram("x.lat")->p99);
+}
+
 }  // namespace
 }  // namespace iofwd::obs

@@ -1,6 +1,6 @@
 // End-to-end observability: an IonServer wired to an external registry,
-// tracer, and flight recorder, driven through a real Client. Pins the API
-// redesign contract — ServerStats is a snapshot view of the registry, the
+// tracer, and flight recorder, driven through a real Client. Pins the read
+// contract — metrics() is a self-contained snapshot of the registry, the
 // same registry serves the burst buffer ("bb.*"), and analysis can render
 // the whole thing.
 #include <gtest/gtest.h>
@@ -15,11 +15,14 @@
 #include "obs/trace.hpp"
 #include "rt/client.hpp"
 #include "rt/server.hpp"
+#include "testsupport/metrics.hpp"
 #include "testsupport/testsupport.hpp"
 
 namespace iofwd::rt {
 namespace {
 
+using testsupport::counter;
+using testsupport::gauge;
 using testsupport::ClusterOptions;
 using testsupport::TestCluster;
 
@@ -58,16 +61,20 @@ TEST(ServerObs, SharedRegistryRecordsServerNamespace) {
   EXPECT_EQ(tc.registry().counter("server.ops").value(), 5u);
 }
 
-TEST(ServerObs, StatsStructIsASnapshotOfTheRegistry) {
+// metrics() is the only read surface, so it must carry the queue and pool
+// state that lives outside the registry: each snapshot mirrors it into
+// gauges first.
+TEST(ServerObs, MetricsMirrorQueueAndPoolState) {
   TestCluster tc = obs_cluster();
   run_ops(tc.client());
-  const ServerStats s = tc.server().stats();
   const obs::Snapshot snap = tc.server().metrics();
-  EXPECT_EQ(s.ops, snap.counter("server.ops"));
-  EXPECT_EQ(s.bytes_in, snap.counter("server.bytes_in"));
-  EXPECT_EQ(s.bytes_out, snap.counter("server.bytes_out"));
-  EXPECT_EQ(s.deferred_errors, snap.counter("server.deferred_errors"));
-  EXPECT_EQ(s.deadline_expired, snap.counter("server.deadline_expired"));
+  EXPECT_GE(gauge(snap, "server.queue_batches"), 1) << "the staged write ran as a batch";
+  EXPECT_GE(gauge(snap, "server.queue_max_depth"), 1);
+  EXPECT_GE(gauge(snap, "server.bml_high_watermark"), static_cast<std::int64_t>(64_KiB));
+  EXPECT_EQ(gauge(snap, "server.bml_in_use"), 0) << "every lease returned";
+  EXPECT_EQ(counter(snap, "server.ops"), tc.registry().counter("server.ops").value());
+  EXPECT_EQ(counter(snap, "server.deferred_errors"), 0u);
+  EXPECT_EQ(counter(snap, "server.deadline_expired"), 0u);
 }
 
 TEST(ServerObs, BurstBufferSharesTheRegistry) {
@@ -113,8 +120,8 @@ TEST(ServerObs, DefaultConfigOwnsAPrivateRegistry) {
   Client client(std::move(b));
   ASSERT_TRUE(client.open(1, "f").is_ok());
   ASSERT_TRUE(client.close(1).is_ok());
-  EXPECT_EQ(server->metrics().counter("server.ops"), 2u);
-  EXPECT_EQ(server->stats().ops, 2u);
+  EXPECT_EQ(counter(server->metrics(), "server.ops"), 2u);
+  EXPECT_EQ(server->registry().counter("server.ops").value(), 2u);
 }
 
 TEST(ServerObs, MetricsTableRendersEveryKind) {

@@ -7,9 +7,12 @@
 #include "proto/queue_forwarder.hpp"
 #include "proto/thread_forwarder.hpp"
 #include "sim/sync.hpp"
+#include "testsupport/metrics.hpp"
 
 namespace iofwd::proto {
 namespace {
+
+using testsupport::counter;
 
 struct Fixture {
   sim::Engine eng;
@@ -263,7 +266,7 @@ TEST(SyncMechanisms, IonMemoryBlocksLargeTransfers) {
   fx.eng.run();
   for (const auto& s : st) EXPECT_TRUE(s.is_ok());
   EXPECT_EQ(fx.metrics.bytes_delivered, 4_MiB);
-  EXPECT_GT(f->stats().memory_blocked, 0u);
+  EXPECT_GT(counter(f->registry().snapshot(), "fwd.memory_blocked"), 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -286,10 +289,51 @@ TEST(QueueForwarder, WorkersBatchTasks) {
     }(*f, st[i], i));
   }
   fx.eng.run();
-  const auto& s = f->stats();
-  EXPECT_EQ(s.worker_tasks, 64u);  // 16 ops x 4 chunks
-  EXPECT_LT(s.worker_batches, s.worker_tasks) << "multiplexing must batch";
-  EXPECT_GT(s.avg_batch(), 1.0);
+  const obs::Snapshot s = f->registry().snapshot();
+  const std::uint64_t tasks = counter(s, "fwd.worker_tasks");
+  const std::uint64_t batches = counter(s, "fwd.worker_batches");
+  EXPECT_EQ(tasks, 64u);  // 16 ops x 4 chunks
+  EXPECT_LT(batches, tasks) << "multiplexing must batch";
+  ASSERT_GT(batches, 0u);
+  EXPECT_GT(static_cast<double>(tasks) / static_cast<double>(batches), 1.0)
+      << "average batch size";
+}
+
+// A run's per-pset forwarders fold into one snapshot: every counter sums
+// (fwd.bml_blocked included, so each pset's staging waits count), and
+// fwd.max_queue_depth keeps the deepest queue.
+TEST(QueueForwarder, MergedMetricsSumCountersAndKeepPeakDepth) {
+  Fixture fx;
+  ForwarderConfig fc;
+  fc.bml_bytes = 512_KiB;  // two staged chunks at a time: writers block
+  std::vector<std::unique_ptr<Forwarder>> fwds;
+  fwds.push_back(fx.make(Mechanism::zoid_sched_async, fc));
+  fwds.push_back(fx.make(Mechanism::zoid_sched_async, fc));
+  std::vector<Status> st(12);
+  for (int i = 0; i < 12; ++i) {
+    Forwarder& f = *fwds[i < 8 ? 0 : 1];  // 8 writers on one, 4 on the other
+    fx.eng.spawn([](Forwarder& fw, Status& out, int cn) -> sim::Proc<void> {
+      SinkTarget da;
+      da.kind = SinkTarget::Kind::da_memory;
+      out = co_await fw.write(cn, -1, 1_MiB, da);
+      co_await fw.drain();
+    }(f, st[static_cast<std::size_t>(i)], i));
+  }
+  fx.eng.run();
+  for (const auto& s : st) EXPECT_TRUE(s.is_ok()) << s.to_string();
+
+  const obs::Snapshot a = fwds[0]->registry().snapshot();
+  const obs::Snapshot b = fwds[1]->registry().snapshot();
+  const obs::Snapshot merged = merged_metrics(fwds);
+  for (const char* name : {"fwd.ops_enqueued", "fwd.worker_batches", "fwd.worker_tasks",
+                           "fwd.bml_blocked", "fwd.memory_blocked"}) {
+    EXPECT_EQ(counter(merged, name), counter(a, name) + counter(b, name)) << name;
+  }
+  EXPECT_GT(counter(a, "fwd.bml_blocked"), 0u) << "the small BML must make writers wait";
+  EXPECT_GT(counter(b, "fwd.bml_blocked"), 0u);
+  EXPECT_EQ(testsupport::gauge(merged, "fwd.max_queue_depth"),
+            std::max(testsupport::gauge(a, "fwd.max_queue_depth"),
+                     testsupport::gauge(b, "fwd.max_queue_depth")));
 }
 
 TEST(QueueForwarder, ShutdownStopsWorkers) {

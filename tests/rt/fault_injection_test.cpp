@@ -10,11 +10,14 @@
 #include "core/units.hpp"
 #include "rt/client.hpp"
 #include "rt/server.hpp"
+#include "testsupport/metrics.hpp"
 #include "testsupport/testsupport.hpp"
 
 namespace iofwd::rt {
 namespace {
 
+using testsupport::counter;
+using testsupport::gauge;
 using testsupport::ClusterOptions;
 using testsupport::TestCluster;
 using testsupport::pattern;
@@ -68,7 +71,8 @@ TEST_P(FaultModels, CutMidPayloadReleasesStagingBuffer) {
   const auto big = pattern(1_MiB, 3);
   ASSERT_TRUE(good.write(2, 0, big).is_ok());
   ASSERT_TRUE(good.fsync(2).is_ok());
-  EXPECT_LE(tc.server().stats().bml_high_watermark, o.server.bml_bytes);
+  EXPECT_LE(gauge(tc.server().metrics(), "server.bml_high_watermark"),
+            static_cast<std::int64_t>(o.server.bml_bytes));
 }
 
 TEST_P(FaultModels, GarbageFrameDropsClientOnly) {
@@ -150,8 +154,9 @@ TEST(FaultInjection, BurstBufferFlushErrorDefersAndSurfacesOnce) {
   EXPECT_EQ(tc.snapshot("x"), data);
   ASSERT_TRUE(client.close(1).is_ok());
   ASSERT_NE(tc.server().burst_buffer(), nullptr);
-  EXPECT_EQ(tc.server().burst_buffer()->stats().cached_bytes, 0u) << "cache leaked a lease";
-  EXPECT_EQ(tc.server().burst_buffer()->stats().deferred_errors, 1u);
+  const obs::Snapshot s = tc.server().metrics();
+  EXPECT_EQ(gauge(s, "bb.cached_bytes"), 0) << "cache leaked a lease";
+  EXPECT_EQ(counter(s, "bb.deferred_errors"), 1u);
 }
 
 TEST(FaultInjection, BurstBufferFlushErrorAtCloseIsReported) {
@@ -164,7 +169,7 @@ TEST(FaultInjection, BurstBufferFlushErrorAtCloseIsReported) {
   // close() drains; the flush failure must not vanish silently.
   EXPECT_FALSE(client.close(1).is_ok());
   tc.backend_plan().clear();
-  EXPECT_EQ(tc.server().burst_buffer()->stats().cached_bytes, 0u)
+  EXPECT_EQ(gauge(tc.server().metrics(), "bb.cached_bytes"), 0)
       << "close must release every lease even when the drain fails";
 
   // The descriptor is gone and the server keeps serving.

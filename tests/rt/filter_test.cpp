@@ -7,9 +7,12 @@
 #include "core/rng.hpp"
 #include "rt/client.hpp"
 #include "rt/server.hpp"
+#include "testsupport/metrics.hpp"
 
 namespace iofwd::rt {
 namespace {
+
+using testsupport::counter;
 
 std::vector<std::byte> doubles(std::initializer_list<double> vs) {
   std::vector<std::byte> out(vs.size() * sizeof(double));
@@ -171,9 +174,9 @@ TEST(FilterServer, DownsampleReducesStoredData) {
   EXPECT_EQ(moments->moments().count, 1024u);
   EXPECT_EQ(moments->moments().max, 1023.0);
 
-  const auto s = server.stats();
-  EXPECT_EQ(s.filter_bytes_in, payload.size());
-  EXPECT_EQ(s.filter_bytes_out, 256 * 8u);
+  const obs::Snapshot s = server.metrics();
+  EXPECT_EQ(counter(s, "server.filter_bytes_in"), payload.size());
+  EXPECT_EQ(counter(s, "server.filter_bytes_out"), 256 * 8u);
   ASSERT_TRUE(client.close(1).is_ok());
 }
 

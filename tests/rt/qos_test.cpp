@@ -17,11 +17,13 @@
 #include "obs/metrics.hpp"
 #include "rt/qos.hpp"
 #include "rt/server.hpp"
+#include "testsupport/metrics.hpp"
 #include "testsupport/testsupport.hpp"
 
 namespace iofwd::rt {
 namespace {
 
+using testsupport::counter;
 using namespace std::chrono_literals;
 using testsupport::ClusterOptions;
 using testsupport::TestCluster;
@@ -110,10 +112,10 @@ TEST(Qos, OverBudgetAsyncWritesDemoteToSyncStagingWithDataIntact) {
   }
   ASSERT_TRUE(client.fsync(1).is_ok());
 
-  const auto st = tc.server().stats();
-  EXPECT_EQ(st.qos_throttled_ops, kOps);
-  EXPECT_EQ(st.qos_admitted_bytes, 0u);
-  EXPECT_EQ(st.degraded_sync_writes, kOps);
+  const obs::Snapshot st = tc.server().metrics();
+  EXPECT_EQ(counter(st, "server.qos.throttled_ops"), kOps);
+  EXPECT_EQ(counter(st, "server.qos.admitted_bytes"), 0u);
+  EXPECT_EQ(counter(st, "server.degraded_sync_writes"), kOps);
 
   EXPECT_EQ(tc.drain_and_snapshot("f"), golden);
 }
@@ -134,10 +136,10 @@ TEST(Qos, WithinBudgetWritesKeepTheFastPath) {
   }
   ASSERT_TRUE(client.fsync(1).is_ok());
 
-  const auto st = tc.server().stats();
-  EXPECT_EQ(st.qos_throttled_ops, 0u);
-  EXPECT_EQ(st.qos_admitted_bytes, 4 * 64_KiB);
-  EXPECT_EQ(st.degraded_sync_writes, 0u);
+  const obs::Snapshot st = tc.server().metrics();
+  EXPECT_EQ(counter(st, "server.qos.throttled_ops"), 0u);
+  EXPECT_EQ(counter(st, "server.qos.admitted_bytes"), 4 * 64_KiB);
+  EXPECT_EQ(counter(st, "server.degraded_sync_writes"), 0u);
 }
 
 TEST(Qos, TenantTagPropagatesToEveryShardThroughRoutingClient) {
@@ -212,9 +214,10 @@ TEST(Qos, FaultHookForcesThrottleVerdictsFromAFaultPlan) {
   }
   ASSERT_TRUE(client.fsync(1).is_ok());
 
-  const auto st = tc.server().stats();
-  EXPECT_EQ(st.degraded_sync_writes, 2u);
-  EXPECT_EQ(st.qos_throttled_ops, 0u) << "the hook is not the governor: no QoS counters";
+  const obs::Snapshot st = tc.server().metrics();
+  EXPECT_EQ(counter(st, "server.degraded_sync_writes"), 2u);
+  EXPECT_TRUE(testsupport::absent(st, "server.qos.throttled_ops"))
+      << "the hook is not the governor: no QoS counters";
 
   EXPECT_EQ(tc.drain_and_snapshot("f"), golden);
 }

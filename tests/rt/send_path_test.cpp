@@ -28,10 +28,14 @@
 #include "rt/server.hpp"
 #include "rt/transport.hpp"
 #include "rt/wire.hpp"
+#include "testsupport/metrics.hpp"
 #include "testsupport/testsupport.hpp"
 
 namespace iofwd::rt {
 namespace {
+
+using testsupport::counter;
+using testsupport::gauge;
 
 constexpr std::size_t kPipe = 4_KiB;  // tiny ring: replies overflow fast
 
@@ -139,8 +143,8 @@ TEST(SendPath, SlowReaderParksRepliesThenDeliversAll) {
   // The queue actually filled: replies were accepted faster than the stalled
   // reader drained them.
   ASSERT_TRUE(eventually([&] {
-    const auto st = server.stats();
-    return st.replies_enqueued > st.replies_sent;
+    const obs::Snapshot st = server.metrics();
+    return counter(st, "server.reply.enqueued") > counter(st, "server.reply.sent");
   })) << "replies never parked in the send queue";
 
   // Now read everything: each drained ring fires the write-readiness edge
@@ -155,15 +159,15 @@ TEST(SendPath, SlowReaderParksRepliesThenDeliversAll) {
   }
 
   ASSERT_TRUE(eventually([&] {
-    const auto st = server.stats();
-    return st.replies_sent == st.replies_enqueued;
+    const obs::Snapshot st = server.metrics();
+    return counter(st, "server.reply.sent") == counter(st, "server.reply.enqueued");
   }));
-  const auto st = server.stats();
-  EXPECT_EQ(st.reply_queue_full, 0u);
-  EXPECT_EQ(st.reply_peer_gone, 0u);
+  const obs::Snapshot st = server.metrics();
+  EXPECT_EQ(counter(st, "server.reply.queue_full"), 0u);
+  EXPECT_EQ(counter(st, "server.reply.peer_gone"), 0u);
 
   server.stop();
-  EXPECT_EQ(server.stats().bml_in_use, 0u) << "a parked reply leaked its lease";
+  EXPECT_EQ(gauge(server.metrics(), "server.bml_in_use"), 0) << "a parked reply leaked its lease";
 }
 
 TEST(SendPath, QueueFullDropsOnlyTheStalledConnection) {
@@ -193,8 +197,9 @@ TEST(SendPath, QueueFullDropsOnlyTheStalledConnection) {
     rd.payload_len = 16_KiB;
     if (!stalled.send(rd)) break;
   }
-  ASSERT_TRUE(eventually([&] { return server.stats().reply_queue_full >= 1; }))
-      << "the send-queue bound never tripped";
+  ASSERT_TRUE(eventually([&] {
+    return counter(server.metrics(), "server.reply.queue_full") >= 1;
+  })) << "the send-queue bound never tripped";
 
   // The stalled connection was dropped: its stream reads EOF once the
   // already-ringed bytes are drained.
@@ -217,9 +222,11 @@ TEST(SendPath, QueueFullDropsOnlyTheStalledConnection) {
   EXPECT_EQ(back, data);
 
   server.stop();
-  const auto final_st = server.stats();
-  EXPECT_EQ(final_st.bml_in_use, 0u) << "aborting the queue must release pinned leases";
-  EXPECT_GE(final_st.reply_peer_gone, 1u) << "queued replies behind the drop were not accounted";
+  const obs::Snapshot final_st = server.metrics();
+  EXPECT_EQ(gauge(final_st, "server.bml_in_use"), 0)
+      << "aborting the queue must release pinned leases";
+  EXPECT_GE(counter(final_st, "server.reply.peer_gone"), 1u)
+      << "queued replies behind the drop were not accounted";
 }
 
 // A stream that hides its readiness fds: no lane can poll it.
@@ -294,7 +301,7 @@ TEST(SendPath, FstatIsTheOnlyReplyCopy) {
   std::vector<std::byte> back;
   ASSERT_TRUE(conn.roundtrip(rd, {}, nullptr, &back));
   EXPECT_EQ(back, data);
-  EXPECT_EQ(server.stats().reply_payload_copy_bytes, 0u);
+  EXPECT_EQ(counter(server.metrics(), "server.reply.payload_copy_bytes"), 0u);
 
   // fstat's 8-byte size payload lives on the worker's stack, so it is the
   // one reply that must be copied into the queue entry — and counted.
@@ -308,7 +315,7 @@ TEST(SendPath, FstatIsTheOnlyReplyCopy) {
   std::uint64_t size = 0;
   std::memcpy(&size, size_payload.data(), 8);
   EXPECT_EQ(size, 16_KiB);
-  EXPECT_EQ(server.stats().reply_payload_copy_bytes, 8u);
+  EXPECT_EQ(counter(server.metrics(), "server.reply.payload_copy_bytes"), 8u);
   server.stop();
 }
 
@@ -361,10 +368,11 @@ TEST(SendPath, ClusterSurvivesTinyPipesUnderConcurrency) {
   // Counters only after stop() has joined the lanes: a client can consume
   // its last reply a beat before the lane bumps replies_sent.
   tc.stop();
-  const auto st = tc.server().stats();
-  EXPECT_EQ(st.reply_queue_full, 0u) << "a live reader must never trip the queue bound";
-  EXPECT_EQ(st.replies_sent, st.replies_enqueued);
-  EXPECT_EQ(st.bml_in_use, 0u);
+  const obs::Snapshot st = tc.server().metrics();
+  EXPECT_EQ(counter(st, "server.reply.queue_full"), 0u)
+      << "a live reader must never trip the queue bound";
+  EXPECT_EQ(counter(st, "server.reply.sent"), counter(st, "server.reply.enqueued"));
+  EXPECT_EQ(gauge(st, "server.bml_in_use"), 0);
 }
 
 }  // namespace

@@ -8,11 +8,14 @@
 #include "core/units.hpp"
 #include "rt/client.hpp"
 #include "rt/server.hpp"
+#include "testsupport/metrics.hpp"
 #include "testsupport/testsupport.hpp"
 
 namespace iofwd::rt {
 namespace {
 
+using testsupport::counter;
+using testsupport::gauge;
 using testsupport::ClusterOptions;
 using testsupport::TestCluster;
 using testsupport::pattern;
@@ -75,9 +78,9 @@ TEST_P(AllModels, ManySequentialOps) {
   ASSERT_TRUE(r.is_ok());
   EXPECT_EQ(r.value(), chunk);
   EXPECT_TRUE(tc.client().close(1).is_ok());
-  const auto s = tc.server().stats();
-  EXPECT_GE(s.ops, 103u);
-  EXPECT_GE(s.bytes_in, 100 * chunk.size());
+  const obs::Snapshot s = tc.server().metrics();
+  EXPECT_GE(counter(s, "server.ops"), 103u);
+  EXPECT_GE(counter(s, "server.bytes_in"), 100 * chunk.size());
 }
 
 TEST_P(AllModels, ConcurrentClientsIntegrity) {
@@ -182,8 +185,7 @@ TEST(AsyncRt, CloseReportsDeferredError) {
   const auto data = pattern(4096, 6);
   ASSERT_TRUE(tc.client().write(1, 0, data).is_ok());
   EXPECT_EQ(tc.client().close(1).code(), Errc::io_error);
-  const auto s = tc.server().stats();
-  EXPECT_GE(s.deferred_errors, 1u);
+  EXPECT_GE(counter(tc.server().metrics(), "server.deferred_errors"), 1u);
 }
 
 TEST(AsyncRt, ReadAfterWriteIsConsistent) {
@@ -212,7 +214,7 @@ TEST(AsyncRt, BmlBackpressureStillDeliversEverything) {
   ASSERT_TRUE(r.is_ok());
   EXPECT_EQ(r.value(), data);
   EXPECT_TRUE(tc.client().close(1).is_ok());
-  EXPECT_LE(tc.server().stats().bml_high_watermark, 256u * 1024);
+  EXPECT_LE(gauge(tc.server().metrics(), "server.bml_high_watermark"), 256 * 1024);
 }
 
 TEST(Rt, OversizeWriteBouncesCleanly) {
@@ -254,10 +256,10 @@ TEST(Rt, StatsAccumulate) {
     ASSERT_TRUE(tc.client().write(1, static_cast<std::uint64_t>(i) * data.size(), data).is_ok());
   }
   ASSERT_TRUE(tc.client().fsync(1).is_ok());
-  const auto s = tc.server().stats();
-  EXPECT_EQ(s.bytes_in, 32 * data.size());
-  EXPECT_GE(s.queue_batches, 1u);
-  EXPECT_GE(s.queue_max_depth, 1u);
+  const obs::Snapshot s = tc.server().metrics();
+  EXPECT_EQ(counter(s, "server.bytes_in"), 32 * data.size());
+  EXPECT_GE(gauge(s, "server.queue_batches"), 1);
+  EXPECT_GE(gauge(s, "server.queue_max_depth"), 1);
 }
 
 TEST(Rt, StopIsIdempotentAndJoinsThreads) {

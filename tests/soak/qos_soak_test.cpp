@@ -29,11 +29,14 @@
 #include "rt/client.hpp"
 #include "rt/scheduler.hpp"
 #include "rt/server.hpp"
+#include "testsupport/metrics.hpp"
 #include "testsupport/testsupport.hpp"
 
 namespace iofwd::rt {
 namespace {
 
+using testsupport::counter;
+using testsupport::gauge;
 using testsupport::ClusterOptions;
 using testsupport::TestCluster;
 using testsupport::pattern;
@@ -147,14 +150,14 @@ TEST_P(QosSoak, TenantsStayIsolatedUnderThrottlingAndFaults) {
   EXPECT_EQ(failures, 0) << "a tenant failed an op it should have recovered from";
   std::uint64_t giveups = 0;
   for (int id = 0; id < n_clients; ++id) {
-    giveups += tc.client(static_cast<std::size_t>(id)).stats().giveups;
+    giveups += counter(tc.client(static_cast<std::size_t>(id)).metrics(), "client.giveups");
   }
   EXPECT_EQ(giveups, 0u);
 
   // The governor engaged, and every demotion is a sync staging, never a loss.
-  const auto st = tc.server().stats();
-  EXPECT_GT(st.qos_throttled_ops, 0u) << "budget too loose to prove anything";
-  EXPECT_GE(st.degraded_sync_writes, st.qos_throttled_ops)
+  const obs::Snapshot st = tc.server().metrics();
+  EXPECT_GT(counter(st, "server.qos.throttled_ops"), 0u) << "budget too loose to prove anything";
+  EXPECT_GE(counter(st, "server.degraded_sync_writes"), counter(st, "server.qos.throttled_ops"))
       << "every throttled write must have been demoted";
 
   // Per-tenant attribution: each tenant's traffic landed in its own bucket
@@ -169,9 +172,9 @@ TEST_P(QosSoak, TenantsStayIsolatedUnderThrottlingAndFaults) {
 
   // Clean drain: quiesce, then no lease may survive.
   tc.stop();
-  const auto drained = tc.server().stats();
-  EXPECT_EQ(drained.bml_in_use, 0u) << "BML pool leaked a lease";
-  EXPECT_EQ(drained.bb_cached_bytes, 0u) << "burst-buffer cache leaked a lease";
+  const obs::Snapshot drained = tc.server().metrics();
+  EXPECT_EQ(gauge(drained, "server.bml_in_use"), 0) << "BML pool leaked a lease";
+  EXPECT_EQ(gauge(drained, "bb.cached_bytes"), 0) << "burst-buffer cache leaked a lease";
 
   // Golden bytes: the terminal backend holds exactly what each tenant wrote.
   for (int id = 0; id < n_clients; ++id) {

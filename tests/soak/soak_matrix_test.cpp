@@ -29,11 +29,14 @@
 #include "fault/retry.hpp"
 #include "rt/client.hpp"
 #include "rt/server.hpp"
+#include "testsupport/metrics.hpp"
 #include "testsupport/testsupport.hpp"
 
 namespace iofwd::fault {
 namespace {
 
+using testsupport::counter;
+using testsupport::gauge;
 using testsupport::ClusterOptions;
 using testsupport::TestCluster;
 using testsupport::pattern;
@@ -180,7 +183,7 @@ TEST_P(SoakMatrix, EveryClientIsolatedNoSilentCorruptionCleanDrain) {
   EXPECT_EQ(failures, 0) << "a client failed an op it should have recovered from";
   std::uint64_t giveups = 0;
   for (int id = 0; id < n_clients; ++id) {
-    giveups += tc.client(static_cast<std::size_t>(id)).stats().giveups;
+    giveups += counter(tc.client(static_cast<std::size_t>(id)).metrics(), "client.giveups");
   }
   EXPECT_EQ(giveups, 0u);
 
@@ -191,11 +194,13 @@ TEST_P(SoakMatrix, EveryClientIsolatedNoSilentCorruptionCleanDrain) {
     std::uint64_t detected = 0;
     for (const auto& plan : stream_plans) injected += plan->fired();
     for (int id = 0; id < n_clients; ++id) {
-      const auto cs = tc.client(static_cast<std::size_t>(id)).stats();
-      detected += cs.header_crc_errors + cs.payload_crc_errors;
+      const obs::Snapshot cs = tc.client(static_cast<std::size_t>(id)).metrics();
+      detected += counter(cs, "client.integrity.header_crc_errors") +
+                  counter(cs, "client.integrity.payload_crc_errors");
     }
-    const auto ss = tc.server().stats();
-    detected += ss.header_crc_errors + ss.payload_crc_errors;
+    const obs::Snapshot ss = tc.server().metrics();
+    detected += counter(ss, "server.integrity.header_crc_errors") +
+                counter(ss, "server.integrity.payload_crc_errors");
     EXPECT_GT(injected, 0u) << "storm too quiet to prove anything";
     EXPECT_EQ(detected, injected) << "an injected corruption went undetected";
   }
@@ -207,15 +212,17 @@ TEST_P(SoakMatrix, EveryClientIsolatedNoSilentCorruptionCleanDrain) {
   // counter is settled): replies parked (the cell is pointless if the queue
   // never engaged), nothing dropped, nothing still queued.
   if (mode == FaultMode::slow_reader) {
-    const auto ss = tc.server().stats();
-    EXPECT_GT(ss.replies_enqueued, 0u);
-    EXPECT_EQ(ss.reply_queue_full, 0u) << "a merely-slow reader must never be dropped";
-    EXPECT_EQ(ss.reply_peer_gone, 0u);
-    EXPECT_EQ(ss.replies_sent, ss.replies_enqueued) << "a parked reply was never delivered";
+    const obs::Snapshot ss = tc.server().metrics();
+    EXPECT_GT(counter(ss, "server.reply.enqueued"), 0u);
+    EXPECT_EQ(counter(ss, "server.reply.queue_full"), 0u)
+        << "a merely-slow reader must never be dropped";
+    EXPECT_EQ(counter(ss, "server.reply.peer_gone"), 0u);
+    EXPECT_EQ(counter(ss, "server.reply.sent"), counter(ss, "server.reply.enqueued"))
+        << "a parked reply was never delivered";
   }
-  const auto st = tc.server().stats();
-  EXPECT_EQ(st.bml_in_use, 0u) << "BML pool leaked a lease";
-  EXPECT_EQ(st.bb_cached_bytes, 0u) << "burst-buffer cache leaked a lease";
+  const obs::Snapshot st = tc.server().metrics();
+  EXPECT_EQ(gauge(st, "server.bml_in_use"), 0) << "BML pool leaked a lease";
+  EXPECT_EQ(gauge(st, "bb.cached_bytes"), 0) << "burst-buffer cache leaked a lease";
 
   // Zero undetected corruption: the terminal backend holds the golden bytes.
   for (int id = 0; id < n_clients; ++id) {

@@ -142,7 +142,7 @@ class TestCluster {
   // interface run unchanged in both.
   [[nodiscard]] rt::ForwardingClient& client(std::size_t i = 0) { return *clients_.at(i); }
   // The same client downcast to its sharded type (sharded mode only) — for
-  // per-shard stats attribution in cluster tests.
+  // per-shard metric attribution in cluster tests.
   [[nodiscard]] cluster::RoutingClient& routing_client(std::size_t i = 0);
   [[nodiscard]] std::size_t client_count() const { return clients_.size(); }
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "testsupport/metrics.hpp"
+
 namespace iofwd::wl {
 namespace {
 
@@ -74,6 +76,24 @@ TEST(Stream, MultiplePsetsScaleAggregate) {
   auto one = run_stream(proto::Mechanism::zoid_sched_async, cfg, {}, p);
   EXPECT_GT(two.throughput_mib_s, 1.6 * one.throughput_mib_s)
       << "two IONs should nearly double delivered bandwidth";
+}
+
+TEST(Stream, ForwarderMetricsCoverEveryPset) {
+  auto cfg = bgp::MachineConfig::intrepid();
+  cfg.num_psets = 2;
+  cfg.num_da_nodes = 4;
+  auto p = quick(8, 5);
+  p.distribute_das = true;
+  const auto two = run_stream(proto::Mechanism::zoid_sched_async, cfg, {}, p);
+  cfg.num_psets = 1;
+  const auto one = run_stream(proto::Mechanism::zoid_sched_async, cfg, {}, p);
+  const std::uint64_t enqueued = testsupport::counter(one.fwd_metrics, "fwd.ops_enqueued");
+  EXPECT_GT(enqueued, 0u);
+  EXPECT_EQ(testsupport::counter(two.fwd_metrics, "fwd.ops_enqueued"), 2 * enqueued)
+      << "each pset's forwarder must be counted once";
+  EXPECT_EQ(testsupport::counter(two.fwd_metrics, "fwd.worker_tasks"),
+            2 * testsupport::counter(one.fwd_metrics, "fwd.worker_tasks"));
+  EXPECT_GE(testsupport::gauge(two.fwd_metrics, "fwd.max_queue_depth"), 1);
 }
 
 TEST(Stream, MaxOfRunsReturnsBest) {
