@@ -2,9 +2,9 @@
 // sequential write-aggregation window in front of the backend; the burst
 // buffer replaced it, and they now hold the burst buffer to the same
 // contract: sequential appends coalesce into few large backend writes, a
-// full cache drains without an fsync, a write above the staging limit goes
-// straight through, close and fsync drain only their own descriptor, and the
-// whole path composes with IonServer.
+// full cache drains without an fsync, a read sees staged bytes, a write
+// above the staging limit goes straight through, close and fsync drain only
+// their own descriptor, and the whole path composes with IonServer.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -94,6 +94,31 @@ TEST(Aggregator, FullWindowFlushesAutomatically) {
   EXPECT_GE(counter(fx.bbuf.metrics(), "bb.backend_writes"), 1u) << "a full cache must drain";
   ASSERT_TRUE(fx.bbuf.close(1).is_ok());
   EXPECT_EQ(fx.mem->snapshot("f").size(), 16 * 4_KiB);
+}
+
+// The window flushed before a read so the backend read saw pending writes.
+// The burst buffer keeps that contract without the flush: a read merges
+// staged bytes over the ones already in the backend, and the backend still
+// holds the old bytes afterwards.
+TEST(Aggregator, ReadFlushesFirst) {
+  Fixture fx(staging_only());
+  ASSERT_TRUE(fx.bbuf.open(1, "f").is_ok());
+  const auto a = pattern(4_KiB, 4);
+  ASSERT_TRUE(fx.bbuf.write(1, 0, a).is_ok());
+  ASSERT_TRUE(fx.bbuf.fsync(1).is_ok());
+  const auto b = pattern(1_KiB, 9);
+  ASSERT_TRUE(fx.bbuf.write(1, 1_KiB, b).is_ok());
+
+  std::vector<std::byte> out(4_KiB);
+  auto r = fx.bbuf.read(1, 0, out);
+  ASSERT_TRUE(r.is_ok());
+  EXPECT_EQ(r.value(), 4_KiB);
+  auto want = a;
+  std::copy(b.begin(), b.end(), want.begin() + static_cast<std::ptrdiff_t>(1_KiB));
+  EXPECT_EQ(out, want);
+  EXPECT_EQ(fx.mem->snapshot("f"), a) << "the read must not write the staged bytes back";
+  ASSERT_TRUE(fx.bbuf.close(1).is_ok());
+  EXPECT_EQ(fx.mem->snapshot("f"), want);
 }
 
 TEST(Aggregator, WriteLargerThanWindow) {

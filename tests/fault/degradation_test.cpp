@@ -152,6 +152,11 @@ TEST(Degradation, OpenDegradedSpanCountsOnEveryRead) {
   // staging it stays there (only an admitted write re-evaluates the depth).
   // server.degraded_ns must still advance with wall time on every read —
   // metrics() banks the open span — and never move backwards.
+  // The first write holds the single worker for 300ms, so the whole burst is
+  // admitted behind it: the depth climbs past the high watermark once and no
+  // admission sees the queue drained (workers pop in batches, so a
+  // per-write latency would let the depth fall to 0 mid-burst and leave
+  // degraded mode).
   ClusterOptions o;
   o.server.exec = rt::ExecModel::work_queue_async;
   o.server.workers = 1;
@@ -159,11 +164,7 @@ TEST(Degradation, OpenDegradedSpanCountsOnEveryRead) {
   o.server.degraded_low_watermark = 0;
   o.clients = 0;
   TestCluster tc(o);
-  tc.backend_plan().add({.op = OpKind::write,
-                         .probability = 1.0,
-                         .transient = false,
-                         .error = Errc::ok,
-                         .latency = 5'000us});
+  tc.backend_plan().add({.op = OpKind::write, .nth = 1, .error = Errc::ok, .latency = 300'000us});
 
   auto stream = tc.factory()();
   ASSERT_TRUE(stream.is_ok());
