@@ -242,8 +242,9 @@ void BurstBufferBackend::recover_from_journal() {
   // Compact: the old segments are garbage once the surviving runs are
   // re-staged (with fresh records) below; anything that cannot be re-staged
   // is written straight through to the inner backend instead, so no path
-  // loses bytes silently.
-  if (Status st = journal_->reset(); !st.is_ok()) {
+  // loses bytes silently. They are unlinked only after the re-append, so a
+  // crash inside recovery replays them again.
+  if (Status st = journal_->begin_compaction(); !st.is_ok()) {
     journal_dead_.store(true);
     c_journal_append_errors_.inc();
     return;
@@ -296,6 +297,12 @@ void BurstBufferBackend::recover_from_journal() {
         if (!r.is_ok()) record_deferred(fd, r.status());
       }
     }
+  }
+  // A failed re-append leaves the old segments as the only complete copy.
+  if (journal_dead_.load()) return;
+  if (Status st = journal_->commit_compaction(); !st.is_ok()) {
+    journal_dead_.store(true);
+    c_journal_append_errors_.inc();
   }
 }
 

@@ -189,26 +189,34 @@ Status Journal::append_locked(RecordType type, int fd, std::uint64_t offset, std
 }
 
 Status Journal::truncate_all_locked() {
+  // A pending compaction's old segments hold state not yet re-appended.
+  if (compact_segments_ > 0) return Status::ok();
   // Everything staged has been retired: the log is pure garbage except for
   // the descriptor→path bindings. Seed them into a fresh segment first and
   // unlink the old segments only then, so a failed creation or reseed leaves
   // the bindings on disk.
-  const std::vector<std::uint32_t> old = segments_;
+  const std::size_t old = segments_.size();
   const std::uint64_t old_size = total_size_;
-  if (Status st = open_segment_locked(old.empty() ? 1 : old.back() + 1); !st.is_ok()) return st;
+  if (Status st = open_segment_locked(old == 0 ? 1 : segments_.back() + 1); !st.is_ok()) {
+    return st;
+  }
   for (const auto& [fd, path] : open_paths_) {
     const auto bytes = std::as_bytes(std::span(path.data(), path.size()));
     if (Status st = append_locked(RecordType::open, fd, 0, path.size(), bytes); !st.is_ok()) {
       return st;
     }
   }
-  for (std::uint32_t idx : old) {
-    std::error_code ec;
-    std::filesystem::remove(segment_path(idx), ec);
-  }
-  segments_.erase(segments_.begin(), segments_.begin() + static_cast<std::ptrdiff_t>(old.size()));
-  total_size_ -= old_size;
   ++truncations_;
+  return unlink_oldest_locked(old, old_size);
+}
+
+Status Journal::unlink_oldest_locked(std::size_t n, std::uint64_t bytes) {
+  for (std::size_t i = 0; i < n; ++i) {
+    std::error_code ec;
+    std::filesystem::remove(segment_path(segments_[i]), ec);
+  }
+  segments_.erase(segments_.begin(), segments_.begin() + static_cast<std::ptrdiff_t>(n));
+  total_size_ -= bytes;
   return sync_dir_locked();
 }
 
@@ -366,23 +374,25 @@ Result<JournalReplayCounts> Journal::replay(const JournalVisitor& v) {
   return counts;
 }
 
-Status Journal::reset() {
+Status Journal::begin_compaction() {
   std::lock_guard lk(mu_);
   live_.clear();
   live_bytes_ = 0;
   open_paths_.clear();
-  const std::uint32_t next = segments_.empty() ? 1 : segments_.back() + 1;
-  for (std::uint32_t idx : segments_) {
-    std::error_code ec;
-    std::filesystem::remove(segment_path(idx), ec);
+  const std::size_t old = segments_.size();
+  const std::uint64_t old_size = total_size_;
+  if (Status st = open_segment_locked(old == 0 ? 1 : segments_.back() + 1); !st.is_ok()) {
+    return st;
   }
-  segments_.clear();
-  total_size_ = 0;
-  if (cur_fd_ >= 0) {
-    ::close(cur_fd_);
-    cur_fd_ = -1;
-  }
-  return open_segment_locked(next);
+  compact_segments_ = old;
+  compact_bytes_ = old_size;
+  return Status::ok();
+}
+
+Status Journal::commit_compaction() {
+  std::lock_guard lk(mu_);
+  const std::size_t n = std::exchange(compact_segments_, 0);
+  return unlink_oldest_locked(n, std::exchange(compact_bytes_, 0));
 }
 
 std::uint64_t Journal::live_bytes() const {

@@ -73,7 +73,7 @@ class Journal {
  public:
   // Opens (creating if needed) the journal directory. Existing segments are
   // left untouched for replay(); a fresh directory starts with one empty
-  // segment. Callers replay() then reset() before the first append.
+  // segment. Callers replay() and compact (below) before the first append.
   static Result<std::unique_ptr<Journal>> open(JournalConfig cfg);
   ~Journal();
   Journal(const Journal&) = delete;
@@ -83,9 +83,15 @@ class Journal {
   // first short read or CRC mismatch and reports the bytes left behind.
   Result<JournalReplayCounts> replay(const JournalVisitor& v);
 
-  // Drop every segment and start an empty one — the post-replay compaction
-  // baseline (the recovered state is re-appended by the caller).
-  Status reset();
+  // Post-replay compaction, in two steps so a crash in between loses
+  // nothing. begin_compaction() starts a fresh segment and keeps the old
+  // ones; the caller re-appends the recovered state; commit_compaction()
+  // then unlinks the old segments (and, with fsync_each, fsyncs the
+  // directory). A crash before the commit replays the old segments and
+  // then the partial re-append, which only repeats what they hold. Idle
+  // truncation waits for the commit.
+  Status begin_compaction();
+  Status commit_compaction();
 
   Status append_open(int fd, std::string_view path);
   Status append_stage(int fd, std::uint64_t offset, std::span<const std::byte> data);
@@ -115,6 +121,9 @@ class Journal {
   // Start a fresh segment reseeded with OPEN records for open_paths_, then
   // delete every older segment.
   Status truncate_all_locked();
+  // Unlink the `n` oldest segments, which hold `bytes` together, then sync
+  // the directory.
+  Status unlink_oldest_locked(std::size_t n, std::uint64_t bytes);
   // fsync the journal directory when fsync_each is set (segment creation
   // and unlinks); a no-op otherwise.
   Status sync_dir_locked() const;
@@ -127,6 +136,9 @@ class Journal {
   std::uint64_t cur_size_ = 0;           // bytes in the last segment
   std::uint64_t total_size_ = 0;         // bytes across all segments
   std::uint64_t truncations_ = 0;
+  // Old segments a begun compaction unlinks at its commit (0 = none pending).
+  std::size_t compact_segments_ = 0;
+  std::uint64_t compact_bytes_ = 0;
 
   // Live-range model: per descriptor, the staged byte ranges not yet
   // retired. Maintained under mu_ so the idle-truncation decision is atomic

@@ -1,6 +1,5 @@
 #include "proto/descriptor_db.hpp"
 
-#include <algorithm>
 #include <cassert>
 
 namespace iofwd::proto {
@@ -13,8 +12,8 @@ std::optional<std::uint64_t> DescriptorDb::begin_op(int fd) {
   auto it = table_.find(fd);
   if (it == table_.end()) return std::nullopt;
   auto& e = it->second;
-  const std::uint64_t seq = e.next_seq++;
-  e.ops.push_back(OpRecord{seq, false, Status::ok()});
+  const std::uint64_t seq = e.next_seq();
+  e.done.push_back(false);
   return seq;
 }
 
@@ -22,12 +21,16 @@ bool DescriptorDb::complete_op(int fd, std::uint64_t seq, Status status) {
   auto it = table_.find(fd);
   if (it == table_.end()) return false;
   auto& e = it->second;
-  auto op = std::find_if(e.ops.begin(), e.ops.end(),
-                         [seq](const OpRecord& r) { return r.seq == seq; });
-  if (op == e.ops.end() || op->completed) return false;
-  op->completed = true;
-  op->status = status;
+  if (seq < e.low || seq >= e.next_seq()) return false;  // already retired, or never issued
+  auto flag = e.done.begin() + static_cast<std::ptrdiff_t>(seq - e.low);
+  if (*flag) return false;  // duplicate completion
+  *flag = true;
+  ++e.completed;
   if (!status.is_ok()) e.pending_errors.push_back(std::move(status));
+  while (!e.done.empty() && e.done.front()) {
+    e.done.pop_front();
+    ++e.low;
+  }
   return true;
 }
 
@@ -37,7 +40,7 @@ Status DescriptorDb::consume_pending_error(int fd) {
   auto& errs = it->second.pending_errors;
   if (errs.empty()) return Status::ok();
   Status first = std::move(errs.front());
-  errs.erase(errs.begin());
+  errs.pop_front();
   return first;
 }
 
@@ -58,37 +61,12 @@ Status DescriptorDb::close_descriptor(int fd) {
 
 std::size_t DescriptorDb::in_flight(int fd) const {
   auto it = table_.find(fd);
-  if (it == table_.end()) return 0;
-  return static_cast<std::size_t>(
-      std::count_if(it->second.ops.begin(), it->second.ops.end(),
-                    [](const OpRecord& r) { return !r.completed; }));
+  return it == table_.end() ? 0 : it->second.next_seq() - it->second.completed;
 }
 
 std::size_t DescriptorDb::completed_count(int fd) const {
   auto it = table_.find(fd);
-  if (it == table_.end()) return 0;
-  return static_cast<std::size_t>(
-      std::count_if(it->second.ops.begin(), it->second.ops.end(),
-                    [](const OpRecord& r) { return r.completed; }));
-}
-
-void DescriptorDb::trim_completed(int fd, std::size_t keep_last) {
-  auto it = table_.find(fd);
-  if (it == table_.end()) return;
-  auto& ops = it->second.ops;
-  // Keep all in-flight records plus the most recent `keep_last` completed.
-  std::vector<OpRecord> kept;
-  std::size_t completed_total = 0;
-  for (const auto& r : ops) completed_total += r.completed ? 1 : 0;
-  std::size_t to_drop = completed_total > keep_last ? completed_total - keep_last : 0;
-  for (auto& r : ops) {
-    if (r.completed && to_drop > 0 && r.status.is_ok()) {
-      --to_drop;
-      continue;
-    }
-    kept.push_back(std::move(r));
-  }
-  ops = std::move(kept);
+  return it == table_.end() ? 0 : it->second.completed;
 }
 
 }  // namespace iofwd::proto

@@ -6,6 +6,11 @@
 //  a particular descriptor via a counter. Errors are passed to the
 //  application on subsequent operations on the descriptor."
 //
+// Per descriptor we keep an in-flight window rather than a per-op log: every
+// seq below `low` has completed, a done flag covers each seq in
+// [low, next_seq), and errors wait in a FIFO in completion order. Every
+// operation is O(1) (amortised) in the number of ops the descriptor has seen.
+//
 // This class is pure bookkeeping — no simulator or thread dependencies — so
 // the simulated forwarder (proto/) and the real runtime (rt/) share it
 // verbatim. Thread safety is the caller's job (the runtime wraps calls in
@@ -13,9 +18,9 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <optional>
 #include <unordered_map>
-#include <vector>
 
 #include "core/status.hpp"
 
@@ -23,12 +28,6 @@ namespace iofwd::proto {
 
 class DescriptorDb {
  public:
-  struct OpRecord {
-    std::uint64_t seq = 0;
-    bool completed = false;
-    Status status;
-  };
-
   // Register a descriptor (on open). Returns false if it already exists.
   bool open_descriptor(int fd);
 
@@ -36,8 +35,9 @@ class DescriptorDb {
   // number, or nullopt for an unknown descriptor.
   std::optional<std::uint64_t> begin_op(int fd);
 
-  // Complete a previously begun operation.
-  // Returns false for unknown descriptor/sequence.
+  // Complete a previously begun operation, in any order. Returns false for
+  // an unknown descriptor and for a seq that was never issued or has
+  // already completed.
   bool complete_op(int fd, std::uint64_t seq, Status status);
 
   // The deferred-error check performed at the start of every subsequent
@@ -61,15 +61,13 @@ class DescriptorDb {
   [[nodiscard]] std::size_t completed_count(int fd) const;
   [[nodiscard]] std::size_t open_count() const { return table_.size(); }
 
-  // Drop completed-without-error records older than `keep_last` to bound
-  // memory (the paper keeps the full list; we expose trimming as a knob).
-  void trim_completed(int fd, std::size_t keep_last);
-
  private:
   struct Entry {
-    std::uint64_t next_seq = 0;
-    std::vector<OpRecord> ops;           // in seq order
-    std::vector<Status> pending_errors;  // completed-with-error, unreported
+    std::uint64_t low = 0;              // every seq below this has completed
+    std::deque<bool> done;              // done flags for [low, low + done.size())
+    std::size_t completed = 0;          // ops completed over the descriptor's life
+    std::deque<Status> pending_errors;  // completed-with-error, unreported
+    [[nodiscard]] std::uint64_t next_seq() const { return low + done.size(); }
   };
   std::unordered_map<int, Entry> table_;
 };

@@ -790,8 +790,9 @@ void IonServer::flush_send_queue_blocking(ClientConn& conn) {
   }
 }
 
-Status IonServer::consume_deferred(int fd) {
-  std::scoped_lock lock(db_mu_);
+Status IonServer::consume_deferred(int fd, bool drain) {
+  std::unique_lock lock(db_mu_);
+  if (drain) db_cv_.wait(lock, [&] { return db_.in_flight(fd) == 0; });
   Status st = db_.consume_pending_error(fd);
   if (!st.is_ok() && st.code() != Errc::bad_descriptor) {
     c_deferred_errors_.inc();
@@ -799,9 +800,14 @@ Status IonServer::consume_deferred(int fd) {
   return st;
 }
 
-void IonServer::drain_descriptor(int fd) {
-  std::unique_lock lock(db_mu_);
-  db_cv_.wait(lock, [&] { return db_.in_flight(fd) == 0; });
+Result<std::uint64_t> IonServer::begin_staged(int fd) {
+  std::scoped_lock lock(db_mu_);
+  Status st = db_.consume_pending_error(fd);
+  if (!st.is_ok()) {
+    if (st.code() != Errc::bad_descriptor) c_deferred_errors_.inc();
+    return st;
+  }
+  return *db_.begin_op(fd);  // the gate passed, so fd is open
 }
 
 void IonServer::note_completed(int fd, std::uint64_t seq, const Status& st) {
@@ -875,10 +881,10 @@ void IonServer::handle_close(ClientConn& conn, const FrameHeader& req,
   if (tracer_ != nullptr) sp.emplace(tracer_->span(opcode_name(req.op), "op", kInlineLane));
   // Close drains: all async operations must land so the final status
   // (including deferred errors) is accurate.
-  drain_descriptor(req.fd);
   Status deferred;
   {
-    std::scoped_lock lock(db_mu_);
+    std::unique_lock lock(db_mu_);
+    db_cv_.wait(lock, [&] { return db_.in_flight(req.fd) == 0; });
     deferred = db_.close_descriptor(req.fd);
   }
   if (!deferred.is_ok() && deferred.code() != Errc::bad_descriptor) {
@@ -894,8 +900,7 @@ void IonServer::handle_fsync(ClientConn& conn, const FrameHeader& req,
                              std::chrono::steady_clock::time_point arrival) {
   std::optional<obs::RuntimeTracer::Span> sp;
   if (tracer_ != nullptr) sp.emplace(tracer_->span(opcode_name(req.op), "op", kInlineLane));
-  drain_descriptor(req.fd);
-  if (Status deferred = consume_deferred(req.fd); !deferred.is_ok()) {
+  if (Status deferred = consume_deferred(req.fd, /*drain=*/true); !deferred.is_ok()) {
     observe_op(req, arrival, deferred);
     enqueue_reply(conn, req, deferred);
     return;
@@ -917,8 +922,7 @@ void IonServer::handle_fstat(ClientConn& conn, const FrameHeader& req,
                              std::chrono::steady_clock::time_point arrival) {
   // Attribute queries are synchronous (Sec. IV): drain in-flight async
   // writes so the size is accurate, surface deferred errors first.
-  drain_descriptor(req.fd);
-  if (Status deferred = consume_deferred(req.fd); !deferred.is_ok()) {
+  if (Status deferred = consume_deferred(req.fd, /*drain=*/true); !deferred.is_ok()) {
     observe_op(req, arrival, deferred);
     enqueue_reply(conn, req, deferred);
     return;
@@ -998,13 +1002,17 @@ void IonServer::handle_write(const std::shared_ptr<ClientConn>& conn, RxPending&
   }
 
   // Deferred-error gate (async mode): surface the oldest unreported error
-  // instead of executing this operation.
+  // instead of executing this operation. The same db_mu_ hold begins the op
+  // in the descriptor DB for the staged path below.
+  std::uint64_t seq = 0;
   if (cfg_.exec == ExecModel::work_queue_async) {
-    if (Status deferred = consume_deferred(req.fd); !deferred.is_ok()) {
-      observe_op(req, arrival, deferred);
-      enqueue_reply(*conn, req, deferred);
+    auto begun = begin_staged(req.fd);
+    if (!begun.is_ok()) {
+      observe_op(req, arrival, begun.status());
+      enqueue_reply(*conn, req, begun.status());
       return;
     }
+    seq = begun.value();
   }
 
   Task t;
@@ -1029,6 +1037,8 @@ void IonServer::handle_write(const std::shared_ptr<ClientConn>& conn, RxPending&
   if (exec == ExecModel::work_queue_async && (throttled || degraded_now(queue_.size()))) {
     exec = ExecModel::work_queue;
     c_degraded_sync_writes_.inc();
+    // Acked at completion, so not a staged op: retire its seq unreported.
+    note_completed(req.fd, seq, Status::ok());
   }
 
   switch (exec) {
@@ -1042,24 +1052,14 @@ void IonServer::handle_write(const std::shared_ptr<ClientConn>& conn, RxPending&
       }
       break;
     case ExecModel::work_queue_async: {
-      std::uint64_t seq_val = 0;
-      {
-        std::scoped_lock lock(db_mu_);
-        auto seq = db_.begin_op(req.fd);
-        if (!seq) {
-          enqueue_reply(*conn, req, Status(Errc::bad_descriptor, "fd not open"));
-          return;
-        }
-        seq_val = *seq;
-      }
-      t.db_seq = seq_val;
+      t.db_seq = seq;
       t.record_in_db = true;
       // Early acknowledgement: the application is unblocked as soon as the
       // payload sits in the BML buffer.
       enqueue_reply(*conn, req, Status::ok(), {}, /*staged=*/true);
       if (!queue_.push(std::move(t), meta)) {
         // Server stopping: mark the op completed so close-drain cannot hang.
-        note_completed(req.fd, seq_val, Status(Errc::shutdown, "server stopping"));
+        note_completed(req.fd, seq, Status(Errc::shutdown, "server stopping"));
       }
       break;
     }
@@ -1074,8 +1074,7 @@ void IonServer::handle_read(const std::shared_ptr<ClientConn>& conn, const Frame
                             std::chrono::steady_clock::time_point arrival) {
   if (cfg_.exec == ExecModel::work_queue_async) {
     // Read barrier: in-flight writes on this descriptor land first.
-    drain_descriptor(req.fd);
-    if (Status deferred = consume_deferred(req.fd); !deferred.is_ok()) {
+    if (Status deferred = consume_deferred(req.fd, /*drain=*/true); !deferred.is_ok()) {
       observe_op(req, arrival, deferred);
       enqueue_reply(*conn, req, deferred);
       return;

@@ -390,8 +390,12 @@ class IonServer {
   void flush_send_queue_blocking(ClientConn& conn);
 
   // Deferred-error gate: non-ok means the op must bounce without executing.
-  Status consume_deferred(int fd);
-  void drain_descriptor(int fd);
+  // With `drain`, first wait (in the same db_mu_ hold) until no op on fd is
+  // in flight — the read, fsync and fstat barrier.
+  Status consume_deferred(int fd, bool drain = false);
+  // The staged write's gate and begin_op in one db_mu_ hold: the op's seq,
+  // or the status it must bounce with.
+  Result<std::uint64_t> begin_staged(int fd);
   void note_completed(int fd, std::uint64_t seq, const Status& st);
 
   std::unique_ptr<IoBackend> backend_;

@@ -11,6 +11,7 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -220,6 +221,75 @@ TEST(Journal, FailedTruncationKeepsTheOldSegments) {
   ASSERT_EQ(files.count(3), 1u) << "the OPEN binding was lost";
   EXPECT_EQ(files.at(3).path, "bound");
   EXPECT_TRUE(files.at(3).runs.empty()) << "the RETIRE landed before the truncation";
+}
+
+TEST(Journal, CrashDuringRecoveryKeepsStagedRuns) {
+  TempDir td;
+  const auto a = pattern(4096, 0x51);
+  const auto b = pattern(4096, 0x52);
+  const auto c = pattern(4096, 0x53);
+  const auto gone = pattern(4096, 0x54);
+  {
+    auto j = open_journal(td.path);
+    ASSERT_TRUE(j->append_open(1, "one").is_ok());
+    ASSERT_TRUE(j->append_stage(1, 0, a).is_ok());
+    ASSERT_TRUE(j->append_stage(1, 8192, gone).is_ok());
+    ASSERT_TRUE(j->append_retire(1, 8192, 4096).is_ok());
+    ASSERT_TRUE(j->append_open(2, "two").is_ok());
+    ASSERT_TRUE(j->append_stage(2, 0, b).is_ok());
+    ASSERT_TRUE(j->append_stage(2, 4096, c).is_ok());
+  }  // first crash
+  const auto replay_files = [&](Journal& j) {
+    StagedModel model;
+    auto counts = j.replay(model.visitor());
+    EXPECT_TRUE(counts.is_ok());
+    return model.files();
+  };
+  const auto expect_recovered = [&](const std::map<int, StagedModel::File>& files) {
+    ASSERT_EQ(files.size(), 2u);
+    EXPECT_EQ(files.at(1).path, "one");
+    ASSERT_EQ(files.at(1).runs.size(), 1u) << "a retired run came back";
+    EXPECT_EQ(files.at(1).runs[0].offset, 0u);
+    EXPECT_EQ(files.at(1).runs[0].bytes, a);
+    EXPECT_EQ(files.at(2).path, "two");
+    ASSERT_EQ(files.at(2).runs.size(), 2u) << "a staged run was lost";
+    EXPECT_EQ(files.at(2).runs[0].bytes, b);
+    EXPECT_EQ(files.at(2).runs[1].offset, 4096u);
+    EXPECT_EQ(files.at(2).runs[1].bytes, c);
+  };
+  {
+    // Recovery starts compacting and re-appends descriptor 1 only, then the
+    // process dies again before the commit.
+    auto j = open_journal(td.path);
+    const auto files = replay_files(*j);
+    expect_recovered(files);
+    ASSERT_TRUE(j->begin_compaction().is_ok());
+    ASSERT_TRUE(j->append_open(1, files.at(1).path).is_ok());
+    for (const auto& run : files.at(1).runs) {
+      ASSERT_TRUE(j->append_stage(1, run.offset, run.bytes).is_ok());
+    }
+  }  // second crash, inside recovery
+  auto j = open_journal(td.path);
+  const auto files = replay_files(*j);
+  expect_recovered(files);
+
+  // A recovery that re-appends everything and commits leaves one segment
+  // with the same state.
+  ASSERT_TRUE(j->begin_compaction().is_ok());
+  for (const auto& [fd, file] : files) {
+    ASSERT_TRUE(j->append_open(fd, file.path).is_ok());
+    for (const auto& run : file.runs) {
+      ASSERT_TRUE(j->append_stage(fd, run.offset, run.bytes).is_ok());
+    }
+  }
+  ASSERT_TRUE(j->commit_compaction().is_ok());
+  std::size_t segments = 0;
+  for (const auto& e : std::filesystem::directory_iterator(td.path)) {
+    (void)e;
+    ++segments;
+  }
+  EXPECT_EQ(segments, 1u);
+  expect_recovered(replay_files(*j));
 }
 
 TEST(Journal, RotatesSegmentsPastTheConfiguredSize) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 namespace iofwd::proto {
 namespace {
 
@@ -105,7 +108,7 @@ TEST(DescriptorDb, CloseCleanDescriptorIsOk) {
   EXPECT_TRUE(db.close_descriptor(1).is_ok());
 }
 
-TEST(DescriptorDb, TrimKeepsErrorsAndInFlight) {
+TEST(DescriptorDb, ErrorsAndInFlightSurviveLongRuns) {
   DescriptorDb db;
   db.open_descriptor(1);
   for (int i = 0; i < 10; ++i) {
@@ -116,10 +119,92 @@ TEST(DescriptorDb, TrimKeepsErrorsAndInFlight) {
       db.complete_op(1, *s, Status::ok());
     }  // ops 8, 9 stay in flight
   }
-  db.trim_completed(1, 2);
+  for (int i = 0; i < 100'000; ++i) {
+    ASSERT_TRUE(db.complete_op(1, *db.begin_op(1), Status::ok()));
+  }
   EXPECT_EQ(db.in_flight(1), 2u);
-  // Deferred error still reported after trimming.
+  EXPECT_EQ(db.completed_count(1), 100'008u);
+  // The old error is still the first one reported.
   EXPECT_EQ(db.consume_pending_error(1).code(), Errc::io_error);
+  EXPECT_TRUE(db.consume_pending_error(1).is_ok());
+}
+
+TEST(DescriptorDb, LongLivedDescriptorStaysConstantTimePerOp) {
+  // A log scanned per completion makes this quadratic (minutes, past the
+  // ctest timeout); the in-flight window keeps each op O(1).
+  DescriptorDb db;
+  db.open_descriptor(1);
+  for (int i = 0; i < 1'000'000; ++i) {
+    auto s = db.begin_op(1);
+    ASSERT_TRUE(s);
+    ASSERT_TRUE(db.complete_op(1, *s, Status::ok()));
+  }
+  EXPECT_EQ(db.in_flight(1), 0u);
+  std::vector<std::uint64_t> seqs;
+  for (int i = 0; i < 100'000; ++i) seqs.push_back(*db.begin_op(1));
+  EXPECT_EQ(db.in_flight(1), 100'000u);
+  for (auto it = seqs.rbegin(); it != seqs.rend(); ++it) {
+    ASSERT_TRUE(db.complete_op(1, *it, Status::ok()));
+  }
+  EXPECT_EQ(db.in_flight(1), 0u);
+  EXPECT_EQ(db.completed_count(1), 1'100'000u);
+  EXPECT_EQ(db.begin_op(1), 1'100'000u);
+}
+
+TEST(DescriptorDb, DuplicateStaleAndUnissuedSeqsAreRejected) {
+  DescriptorDb db;
+  db.open_descriptor(1);
+  std::vector<std::uint64_t> seqs;
+  for (int i = 0; i < 4; ++i) seqs.push_back(*db.begin_op(1));
+  // Seqs 0 and 1 complete in order, so both fall below the window; seq 3
+  // completes ahead of 2 and stays inside it.
+  ASSERT_TRUE(db.complete_op(1, seqs[0], Status::ok()));
+  ASSERT_TRUE(db.complete_op(1, seqs[1], Status::ok()));
+  ASSERT_TRUE(db.complete_op(1, seqs[3], Status::ok()));
+  ASSERT_EQ(db.in_flight(1), 1u);
+  ASSERT_EQ(db.completed_count(1), 3u);
+
+  const auto unchanged = [&] {
+    EXPECT_EQ(db.in_flight(1), 1u);
+    EXPECT_EQ(db.completed_count(1), 3u);
+    EXPECT_FALSE(db.has_pending_error(1));
+  };
+  EXPECT_FALSE(db.complete_op(1, seqs[0], Status(Errc::io_error, "stale")));
+  unchanged();
+  EXPECT_FALSE(db.complete_op(1, seqs[1], Status(Errc::io_error, "stale")));
+  unchanged();
+  EXPECT_FALSE(db.complete_op(1, seqs[3], Status(Errc::io_error, "duplicate")));
+  unchanged();
+  EXPECT_FALSE(db.complete_op(1, 4, Status(Errc::io_error, "never issued")));
+  unchanged();
+  EXPECT_FALSE(db.complete_op(1, ~std::uint64_t{0}, Status(Errc::io_error, "never issued")));
+  unchanged();
+
+  EXPECT_TRUE(db.complete_op(1, seqs[2], Status::ok()));
+  EXPECT_EQ(db.in_flight(1), 0u);
+  EXPECT_EQ(db.completed_count(1), 4u);
+  EXPECT_FALSE(db.complete_op(1, seqs[2], Status::ok()));
+  EXPECT_EQ(db.completed_count(1), 4u);
+}
+
+TEST(DescriptorDb, OutOfOrderErrorsSurfaceInCompletionOrder) {
+  DescriptorDb db;
+  db.open_descriptor(1);
+  auto a = db.begin_op(1);
+  auto b = db.begin_op(1);
+  auto c = db.begin_op(1);
+  auto d = db.begin_op(1);
+  // Completion order c, a, d, b; a and c fail, b and d succeed.
+  ASSERT_TRUE(db.complete_op(1, *c, Status(Errc::not_connected, "c")));
+  ASSERT_TRUE(db.complete_op(1, *a, Status(Errc::io_error, "a")));
+  ASSERT_TRUE(db.complete_op(1, *d, Status::ok()));
+  EXPECT_EQ(db.in_flight(1), 1u);
+  ASSERT_TRUE(db.complete_op(1, *b, Status(Errc::timed_out, "b")));
+  EXPECT_EQ(db.in_flight(1), 0u);
+  EXPECT_EQ(db.consume_pending_error(1).message(), "c");
+  EXPECT_EQ(db.consume_pending_error(1).message(), "a");
+  EXPECT_EQ(db.consume_pending_error(1).message(), "b");
+  EXPECT_TRUE(db.consume_pending_error(1).is_ok());
 }
 
 class DescriptorDbMany : public ::testing::TestWithParam<int> {};

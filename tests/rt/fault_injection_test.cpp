@@ -4,7 +4,10 @@
 // serving other clients.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cstring>
+#include <vector>
 
 #include "bb/burst_buffer.hpp"
 #include "core/units.hpp"
@@ -179,6 +182,57 @@ TEST(FaultInjection, BurstBufferFlushErrorAtCloseIsReported) {
   ASSERT_TRUE(client.fsync(2).is_ok());
   EXPECT_EQ(tc.snapshot("y"), data);
   EXPECT_TRUE(client.close(2).is_ok());
+}
+
+TEST(FaultInjection, LongLivedDescriptorSurfacesOneDeferredError) {
+  // 40 000 staged 4 KiB writes on one descriptor, backend write 30 000
+  // failing: the error surfaces on exactly one later op, and the barriers
+  // after the burst see every acked byte. The writes cycle over 64 slots of
+  // one file; a single worker applies them in arrival order.
+  ClusterOptions o;
+  o.server.exec = ExecModel::work_queue_async;
+  o.server.workers = 1;
+  TestCluster tc(o);
+  auto& client = tc.client();
+  constexpr int kWrites = 40'000;
+  constexpr int kFailAt = 30'000;  // 1-based backend write number
+  constexpr int kSlots = 64;
+  tc.backend_plan().add({.op = fault::OpKind::write, .nth = kFailAt});
+  ASSERT_TRUE(client.open(1, "f").is_ok());
+
+  const auto base = pattern(4_KiB, 31);
+  std::vector<std::byte> expect(kSlots * 4_KiB);
+  int surfaced = 0;
+  for (int i = 0; i < kWrites; ++i) {
+    auto data = base;
+    std::memcpy(data.data(), &i, sizeof i);  // every write carries distinct bytes
+    const std::uint64_t off = static_cast<std::uint64_t>(i % kSlots) * 4_KiB;
+    Status st = client.write(1, off, data);
+    if (!st.is_ok()) {
+      ASSERT_EQ(st.code(), Errc::io_error);
+      ASSERT_GE(i, kFailAt) << "error surfaced before the failing write was sent";
+      ++surfaced;
+      st = client.write(1, off, data);  // the bounced write never ran: resend it
+      ASSERT_TRUE(st.is_ok()) << st.to_string();
+    }
+    std::copy(data.begin(), data.end(), expect.begin() + static_cast<std::ptrdiff_t>(off));
+  }
+
+  // Read barrier: in-flight writes land first. It is the op that surfaces
+  // the error only if no write after the failure did.
+  auto got = client.read(1, 0, expect.size());
+  if (!got.is_ok()) {
+    ASSERT_EQ(got.code(), Errc::io_error);
+    ++surfaced;
+    got = client.read(1, 0, expect.size());
+  }
+  ASSERT_TRUE(got.is_ok()) << got.status().to_string();
+  EXPECT_EQ(got.value(), expect);
+  EXPECT_EQ(surfaced, 1);
+  EXPECT_TRUE(client.fsync(1).is_ok());
+  EXPECT_TRUE(client.close(1).is_ok());
+  EXPECT_EQ(tc.backend_plan().fired(fault::OpKind::write), 1u);
+  EXPECT_EQ(counter(tc.server().metrics(), "server.deferred_errors"), 1u);
 }
 
 }  // namespace
