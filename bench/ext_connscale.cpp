@@ -9,17 +9,20 @@
 // the lanes (not the connection count) bound the per-byte work.
 //
 // This bench drives 1 -> 1024 in-process connections against one IonServer.
-// The harness speaks the wire protocol directly and *pipelines*: each driver
-// thread blasts every write frame for a connection back-to-back and reaps
-// the 56-byte acks afterwards, the way a real CN-side forwarder batches —
-// a Client::write roundtrip per op would serialize on ack latency and
-// measure the host scheduler, not the server. Deferred reaping also means
-// acks pile up against a full client ring, so the send path's EPOLLOUT
-// arming and gathered writev drain are on the hot path of this measurement,
-// not an untested corner. Connections are spread over at most
-// kMaxDriverThreads driver threads. Aggregate throughput = total payload
-// bytes / wall time from a synchronized start until every connection's acks
-// (including the fsync barrier reply) are reaped and verified.
+// Each connection is an rt::Client whose window holds every request of the
+// run (writes + 1), so the harness *pipelines*: each driver thread submits
+// every write frame for a connection back-to-back and reaps the 56-byte
+// acks afterwards, the way a real CN-side forwarder batches — a blocking
+// write per op would serialize on ack latency and measure the host
+// scheduler, not the server. Deferred reaping also means acks pile up
+// against a full client ring, so the send path's EPOLLOUT arming and
+// gathered writev drain are on the hot path of this measurement, not an
+// untested corner. The clients start no threads of their own (no receive
+// thread; the roundtrip watchdog stays off), and connections are spread
+// over at most kMaxDriverThreads driver threads. Aggregate throughput =
+// total payload bytes / wall time from a synchronized start until every
+// connection's acks (including the fsync barrier reply) are reaped and
+// verified.
 //
 // Gates (exit 1):
 //   * throughput(256 clients)  >= 90% of throughput(16 clients)
@@ -40,19 +43,17 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
-#include <span>
-#include <string>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "analysis/report.hpp"
 #include "bench_common.hpp"
 #include "core/units.hpp"
+#include "rt/client.hpp"
 #include "rt/server.hpp"
 #include "rt/transport.hpp"
-#include "rt/wire.hpp"
 
 namespace {
 
@@ -62,210 +63,108 @@ constexpr std::size_t kPipeBytes = 32_KiB;   // per-direction in-proc ring
 constexpr std::size_t kWriteBytes = 16_KiB;  // per-op payload
 constexpr int kMaxDriverThreads = 16;        // uniform from the 16-client point up
 
-// One raw protocol connection: the client end of an in-proc pair plus its
-// sequence counter.
-struct RawConn {
-  std::unique_ptr<rt::ByteStream> s;
-  std::uint64_t next_seq = 1;
-};
-
-// Blocking request/reply for the untimed phases (hello, open, read-back,
-// close). Returns false on any transport or protocol failure.
-bool raw_roundtrip(RawConn& conn, rt::FrameHeader req, std::span<const std::byte> payload,
-                   rt::FrameHeader* rep_out, std::vector<std::byte>* payload_out) {
-  req.type = rt::MsgType::request;
-  req.seq = conn.next_seq++;
-  if (!payload.empty() && req.op != rt::OpCode::hello) {
-    req.payload_len = payload.size();
-    if (req.version >= 1) req.stamp_payload_crc(payload);
-  }
-  std::byte buf[rt::FrameHeader::kWireSize];
-  req.encode(std::span<std::byte, rt::FrameHeader::kWireSize>(buf));
-  if (!conn.s->write_all(buf, sizeof buf).is_ok()) return false;
-  if (!payload.empty() && !conn.s->write_all(payload.data(), payload.size()).is_ok()) {
-    return false;
-  }
-  std::byte rep_buf[rt::FrameHeader::kWireSize];
-  if (!conn.s->read_exact(rep_buf, sizeof rep_buf).is_ok()) return false;
-  auto hdr = rt::FrameHeader::decode(
-      std::span<const std::byte, rt::FrameHeader::kWireSize>(rep_buf));
-  if (!hdr.is_ok() || hdr.value().status != 0) return false;
-  if (rep_out != nullptr) *rep_out = hdr.value();
-  if (hdr.value().payload_len > 0) {
-    if (payload_out == nullptr) return false;
-    payload_out->resize(hdr.value().payload_len);
-    if (!conn.s->read_exact(payload_out->data(), payload_out->size()).is_ok()) return false;
-  }
-  return true;
-}
-
 // Aggregate MiB/s for one run of `clients` concurrent connections, each
 // issuing `writes` kWriteBytes writes and one fsync barrier. After the timed
 // run, every connection reads one payload back (untimed) so read replies
 // exercise the gathered zero-copy send path; the server's reply-copy counter
 // is accumulated into `copy_bytes` for the zero-copy gate.
 double aggregate_mibs(int clients, int writes, std::uint64_t& copy_bytes) {
-  double best = 0.0;
   const std::vector<std::byte> chunk(kWriteBytes, std::byte{0x5a});
-  // Every write carries the same payload, so its CRC is stamped once here
-  // and reused in every frame (a real forwarder would pay one CRC pass per
-  // distinct buffer too).
-  rt::FrameHeader wtmpl;
-  wtmpl.type = rt::MsgType::request;
-  wtmpl.op = rt::OpCode::write;
-  wtmpl.version = rt::kProtoVersion;
-  wtmpl.payload_len = kWriteBytes;
-  wtmpl.stamp_payload_crc(chunk);
+  rt::ServerConfig scfg;
+  scfg.exec = rt::ExecModel::work_queue_async;
+  scfg.bml_bytes = 64_MiB;
+  rt::IonServer server(std::make_unique<rt::MemBackend>(), scfg);
 
-  {
-    rt::ServerConfig scfg;
-    scfg.exec = rt::ExecModel::work_queue_async;
-    scfg.bml_bytes = 64_MiB;
-    rt::IonServer server(std::make_unique<rt::MemBackend>(), scfg);
-
-    std::vector<RawConn> conns(static_cast<std::size_t>(clients));
-    bool setup_ok = true;
-    for (int c = 0; c < clients; ++c) {
-      auto [s, cl] = rt::InProcTransport::make_pair(kPipeBytes);
-      server.serve(std::move(s));
-      conns[static_cast<std::size_t>(c)].s = std::move(cl);
-
-      rt::FrameHeader hello;
-      hello.op = rt::OpCode::hello;
-      hello.version = rt::kProtoVersion;
-      rt::FrameHeader hello_rep;
-      setup_ok = raw_roundtrip(conns[static_cast<std::size_t>(c)], hello, {}, &hello_rep, nullptr);
-      if (!setup_ok) break;
-
-      rt::FrameHeader open;
-      open.op = rt::OpCode::open;
-      open.fd = c + 1;
-      open.version = std::min(hello_rep.version, rt::kProtoVersion);
-      const std::string path = "conn" + std::to_string(c);
-      setup_ok = raw_roundtrip(conns[static_cast<std::size_t>(c)], open,
-                               std::as_bytes(std::span(path.data(), path.size())), nullptr,
-                               nullptr);
-      if (!setup_ok) break;
-    }
-    if (!setup_ok) {
+  // Every request of the timed run fits the window: the writes plus the
+  // fsync barrier, so no submit reaps before the reap phase.
+  rt::ClientConfig ccfg;
+  ccfg.window = writes + 1;
+  std::vector<std::unique_ptr<rt::Client>> conns;
+  conns.reserve(static_cast<std::size_t>(clients));
+  for (int c = 0; c < clients; ++c) {
+    auto [s, cl] = rt::InProcTransport::make_pair(kPipeBytes);
+    server.serve(std::move(s));
+    conns.push_back(std::make_unique<rt::Client>(std::move(cl), ccfg));
+    if (!conns.back()->open(c + 1, "conn" + std::to_string(c)).is_ok()) {
       std::fprintf(stderr, "connection setup failed\n");
       return 0.0;
     }
-
-    const int drivers = std::min(clients, kMaxDriverThreads);
-    std::atomic<bool> go{false};
-    std::atomic<int> failures{0};
-    std::vector<std::thread> threads;
-    threads.reserve(static_cast<std::size_t>(drivers));
-    for (int d = 0; d < drivers; ++d) {
-      threads.emplace_back([&, d] {
-        while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
-        // Phase 1: blast every frame for this driver's strided slice. Acks
-        // accumulate in each connection's reply ring / server send queue
-        // (bounded: (writes + 1) 56-byte headers per connection).
-        std::byte hdr[rt::FrameHeader::kWireSize];
-        for (int c = d; c < clients; c += drivers) {
-          RawConn& conn = conns[static_cast<std::size_t>(c)];
-          rt::FrameHeader req = wtmpl;
-          req.fd = c + 1;
-          for (int i = 0; i < writes; ++i) {
-            req.seq = conn.next_seq++;
-            req.offset = static_cast<std::uint64_t>(i) * kWriteBytes;
-            req.encode(std::span<std::byte, rt::FrameHeader::kWireSize>(hdr));
-            if (!conn.s->write_all(hdr, sizeof hdr).is_ok() ||
-                !conn.s->write_all(chunk.data(), chunk.size()).is_ok()) {
-              failures.fetch_add(1, std::memory_order_relaxed);
-              return;
-            }
-          }
-          rt::FrameHeader fsync;
-          fsync.type = rt::MsgType::request;
-          fsync.op = rt::OpCode::fsync;
-          fsync.fd = c + 1;
-          fsync.version = rt::kProtoVersion;
-          fsync.seq = conn.next_seq++;
-          fsync.encode(std::span<std::byte, rt::FrameHeader::kWireSize>(hdr));
-          if (!conn.s->write_all(hdr, sizeof hdr).is_ok()) {
-            failures.fetch_add(1, std::memory_order_relaxed);
-            return;
-          }
-        }
-        // Phase 2: reap and verify every ack (writes + fsync barrier per
-        // connection). The clock stops only after the server has proven all
-        // ops done — and draining the full rings here is what fires the
-        // EPOLLOUT edges the send path parked on.
-        for (int c = d; c < clients; c += drivers) {
-          RawConn& conn = conns[static_cast<std::size_t>(c)];
-          for (int i = 0; i < writes + 1; ++i) {
-            std::byte rep[rt::FrameHeader::kWireSize];
-            if (!conn.s->read_exact(rep, sizeof rep).is_ok()) {
-              failures.fetch_add(1, std::memory_order_relaxed);
-              return;
-            }
-            auto h = rt::FrameHeader::decode(
-                std::span<const std::byte, rt::FrameHeader::kWireSize>(rep));
-            if (!h.is_ok() || h.value().status != 0) {
-              failures.fetch_add(1, std::memory_order_relaxed);
-              return;
-            }
-          }
-        }
-      });
-    }
-    const auto t0 = std::chrono::steady_clock::now();
-    go.store(true, std::memory_order_release);
-    for (auto& t : threads) t.join();
-    const double secs =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-    if (failures.load() != 0) {
-      std::fprintf(stderr, "%d driver failures at %d clients\n", failures.load(), clients);
-      return 0.0;
-    }
-
-    // Untimed read-back: one full payload per connection. The reply path
-    // must serve these from BML leases with zero staging copies.
-    std::atomic<int> read_failures{0};
-    threads.clear();
-    for (int d = 0; d < drivers; ++d) {
-      threads.emplace_back([&, d] {
-        for (int c = d; c < clients; c += drivers) {
-          RawConn& conn = conns[static_cast<std::size_t>(c)];
-          rt::FrameHeader req;
-          req.op = rt::OpCode::read;
-          req.fd = c + 1;
-          req.version = rt::kProtoVersion;
-          req.payload_len = kWriteBytes;  // requested length; no payload sent
-          rt::FrameHeader rep;
-          std::vector<std::byte> data;
-          if (!raw_roundtrip(conn, req, {}, &rep, &data) || data.size() != kWriteBytes ||
-              data[0] != std::byte{0x5a} || !rep.payload_crc_ok(data)) {
-            read_failures.fetch_add(1, std::memory_order_relaxed);
-          }
-        }
-      });
-    }
-    for (auto& t : threads) t.join();
-    if (read_failures.load() != 0) {
-      std::fprintf(stderr, "read-back failed on %d of %d connections\n", read_failures.load(),
-                   clients);
-      return 0.0;
-    }
-
-    for (int c = 0; c < clients; ++c) {
-      rt::FrameHeader cls;
-      cls.op = rt::OpCode::close;
-      cls.fd = c + 1;
-      cls.version = rt::kProtoVersion;
-      (void)raw_roundtrip(conns[static_cast<std::size_t>(c)], cls, {}, nullptr, nullptr);
-    }
-    copy_bytes += server.metrics().counter("server.reply.payload_copy_bytes");
-    server.stop();
-
-    const double total_mib = static_cast<double>(clients) * writes *
-                             static_cast<double>(kWriteBytes) / (1 << 20);
-    best = std::max(best, total_mib / secs);
   }
-  return best;
+
+  const int drivers = std::min(clients, kMaxDriverThreads);
+  std::atomic<bool> go{false};
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  threads.reserve(static_cast<std::size_t>(drivers));
+  for (int d = 0; d < drivers; ++d) {
+    threads.emplace_back([&, d] {
+      std::vector<std::vector<rt::Client::Ticket>> tickets;
+      for (int c = d; c < clients; c += drivers) {
+        tickets.emplace_back().reserve(static_cast<std::size_t>(writes) + 1);
+      }
+      while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
+      // Phase 1: send every frame for this driver's strided slice. Acks
+      // accumulate in each connection's reply ring / server send queue
+      // (bounded: (writes + 1) 56-byte headers per connection).
+      for (int c = d, k = 0; c < clients; c += drivers, ++k) {
+        rt::Client& cl = *conns[static_cast<std::size_t>(c)];
+        auto& ts = tickets[static_cast<std::size_t>(k)];
+        for (int i = 0; i < writes; ++i) {
+          ts.push_back(cl.submit_write(c + 1, static_cast<std::uint64_t>(i) * kWriteBytes, chunk));
+        }
+        ts.push_back(cl.submit_fsync(c + 1));
+      }
+      // Phase 2: reap and verify every ack (writes + fsync barrier per
+      // connection). The clock stops only after the server has proven all
+      // ops done — and draining the full rings here is what fires the
+      // EPOLLOUT edges the send path parked on.
+      for (int c = d, k = 0; c < clients; c += drivers, ++k) {
+        rt::Client& cl = *conns[static_cast<std::size_t>(c)];
+        for (auto t : tickets[static_cast<std::size_t>(k)]) {
+          if (!cl.wait(t).is_ok()) failures.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+    });
+  }
+  const auto t0 = std::chrono::steady_clock::now();
+  go.store(true, std::memory_order_release);
+  for (auto& t : threads) t.join();
+  const double secs = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+  if (failures.load() != 0) {
+    std::fprintf(stderr, "%d failed acks at %d clients\n", failures.load(), clients);
+    return 0.0;
+  }
+
+  // Untimed read-back: one full payload per connection (the client checks
+  // its CRC). The reply path must serve these from BML leases with zero
+  // staging copies.
+  std::atomic<int> read_failures{0};
+  threads.clear();
+  for (int d = 0; d < drivers; ++d) {
+    threads.emplace_back([&, d] {
+      for (int c = d; c < clients; c += drivers) {
+        auto data = conns[static_cast<std::size_t>(c)]->read(c + 1, 0, kWriteBytes);
+        if (!data.is_ok() || data.value().size() != kWriteBytes ||
+            data.value()[0] != std::byte{0x5a}) {
+          read_failures.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  if (read_failures.load() != 0) {
+    std::fprintf(stderr, "read-back failed on %d of %d connections\n", read_failures.load(),
+                 clients);
+    return 0.0;
+  }
+
+  for (int c = 0; c < clients; ++c) (void)conns[static_cast<std::size_t>(c)]->close(c + 1);
+  copy_bytes += server.metrics().counter("server.reply.payload_copy_bytes");
+  server.stop();
+
+  const double total_mib =
+      static_cast<double>(clients) * writes * static_cast<double>(kWriteBytes) / (1 << 20);
+  return total_mib / secs;
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
 // Extension experiment: per-tenant fair-share isolation (DESIGN.md §17).
 //
-// The ROADMAP's nightmare tenant: one hot client pipelines a deep window of
-// large writes through the ION while 63 quiet tenants each trickle small
+// The ROADMAP's nightmare tenant: one hot client (tenant 1000, speaking v1
+// with payload CRCs like everyone else) pipelines a deep window of large
+// writes through the ION while 63 quiet tenants (1..63) each trickle small
 // synchronous writes. The server runs a single-worker synchronous work queue
 // over a fixed-service-rate device, so the task queue IS the contended
 // resource and the scheduling policy decides who eats the device.
@@ -20,7 +21,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <future>
+#include <deque>
 #include <memory>
 #include <string>
 #include <thread>
@@ -29,7 +30,6 @@
 #include "analysis/report.hpp"
 #include "bench_common.hpp"
 #include "core/units.hpp"
-#include "rt/async_client.hpp"
 #include "rt/client.hpp"
 #include "rt/scheduler.hpp"
 #include "rt/server.hpp"
@@ -44,6 +44,7 @@ constexpr std::size_t kPipeBytes = 256_KiB;
 constexpr std::size_t kQuietWrite = 16_KiB;
 constexpr std::size_t kHotWrite = 64_KiB;
 constexpr int kHotWindow = 128;
+constexpr std::uint64_t kHotTenant = 1000;
 constexpr auto kDeviceLatency = std::chrono::microseconds(30);
 
 // A fixed-service-rate device: every write costs kDeviceLatency before the
@@ -101,31 +102,35 @@ double quiet_mibs(rt::SchedPolicy policy, bool with_hot, int writes, int reps) {
       }
     }
 
-    // Hot tenant: a pipelined AsyncClient (tenant 0) flooding large writes.
-    std::unique_ptr<rt::AsyncClient> hot;
+    // Hot tenant: a windowed Client with its own tenant id flooding large
+    // writes, kHotWindow of them awaiting their acks at any time.
+    std::unique_ptr<rt::Client> hot;
     std::atomic<bool> stop_hot{false};
     std::thread hot_thread;
     if (with_hot) {
       auto [srv, cl] = rt::InProcTransport::make_pair(kPipeBytes);
       server.serve(std::move(srv));
-      hot = std::make_unique<rt::AsyncClient>(std::move(cl), kHotWindow);
-      if (hot->open(1000, "hot").get().code() != Errc::ok) {
+      rt::ClientConfig hcfg;
+      hcfg.tenant = kHotTenant;
+      hcfg.window = kHotWindow;
+      hot = std::make_unique<rt::Client>(std::move(cl), hcfg);
+      if (!hot->open(1000, "hot").is_ok()) {
         std::fprintf(stderr, "hot open failed\n");
         return 0.0;
       }
       hot_thread = std::thread([&] {
         std::uint64_t off = 0;
-        std::vector<std::future<Status>> inflight;
+        std::deque<rt::Client::Ticket> inflight;
         while (!stop_hot.load(std::memory_order_acquire)) {
-          inflight.push_back(hot->write(1000, off, hot_chunk));
+          inflight.push_back(hot->submit_write(1000, off, hot_chunk));
           off += kHotWrite;
-          // Trim settled futures so the vector stays bounded.
-          if (inflight.size() >= 2 * kHotWindow) {
-            for (auto& f : inflight) (void)f.get();
-            inflight.clear();
+          // Collect the oldest ack so settled tickets stay bounded.
+          if (inflight.size() > static_cast<std::size_t>(kHotWindow)) {
+            (void)hot->wait(inflight.front());
+            inflight.pop_front();
           }
         }
-        for (auto& f : inflight) (void)f.get();
+        for (auto t : inflight) (void)hot->wait(t);
       });
     }
 
@@ -150,7 +155,7 @@ double quiet_mibs(rt::SchedPolicy policy, bool with_hot, int writes, int reps) {
     if (with_hot) {
       stop_hot.store(true, std::memory_order_release);
       hot_thread.join();
-      hot->shutdown();
+      (void)hot->shutdown();
     }
     server.stop();
     const double quiet_mib = static_cast<double>(kQuietTenants) * writes *

@@ -8,21 +8,50 @@
 // background operations surface on subsequent calls on the same descriptor,
 // on fsync(), or on close() — exactly the paper's semantics.
 //
-// Resilience (DESIGN.md §10): constructed with a StreamFactory, the client
-// survives a dead connection — a roundtrip that fails with a transport
-// error reconnects with capped exponential backoff, replays open() for
-// every descriptor it tracks (the server keeps descriptor state across
-// connections, so an "already open" bounce counts as success), and then
-// replays the failed operation, which is safe because every forwarded op is
-// offset-based and therefore idempotent. A roundtrip_timeout_ms watchdog
-// bounds each roundtrip: a hung ION gets its connection closed from our
-// side, surfacing timed_out instead of blocking the CN forever.
+// Windowed pipelining (DESIGN.md §15): ClientConfig::window bounds how many
+// requests one connection may have awaiting their reply. submit_*() sends a
+// request and returns a ticket; wait(ticket) returns its result. The
+// blocking calls are submit + wait, so the default window of 1 is strict
+// request/reply. There is no receive thread: the thread that waits reads
+// reply frames inline and matches them by sequence number, parking replies
+// that belong to other tickets until those are waited on, and a submit that
+// finds the window full first reaps replies until a slot frees. Every
+// request gets the same treatment whether pipelined or not: hello, tenant,
+// priority class, deadline, per-payload CRC stamp and reply-CRC check.
 //
-// Thread safety: a Client serializes its round trips internally, so it may
-// be shared; for concurrency, open one Client per application thread (each
-// with its own transport), mirroring one CN process per connection.
+//   ClientConfig cfg;
+//   cfg.window = 16;
+//   Client c(std::move(stream), cfg);
+//   c.open(1, "f");
+//   std::vector<Client::Ticket> ts;
+//   for (...) ts.push_back(c.submit_write(1, off, data));
+//   for (auto t : ts) check(c.wait(t));
+//
+// Contract: the payload span given to submit_write must stay valid until
+// its ticket is waited on — a redial resends it from there. Wait on every ticket exactly once; a parked reply
+// is held until then. In-flight writes to overlapping ranges have no
+// defined order. Keep window x the largest read reply under the server's
+// ServerConfig::send_queue_bytes (4 MiB by default): replies the client has
+// not reaped yet wait in that queue.
+//
+// Resilience (DESIGN.md §10): constructed with a StreamFactory, the client
+// survives a dead connection — a transport error (or a corrupted frame)
+// reconnects with capped exponential backoff, redoes the hello, replays
+// open() for every descriptor it tracks (the server keeps descriptor state
+// across connections, so an "already open" bounce counts as success), and
+// then resends every request still awaiting its reply in sequence order,
+// which is safe because every forwarded op is offset-based and therefore
+// idempotent. Each request gets 1 + reconnect_attempts tries. A
+// roundtrip_timeout_ms watchdog bounds each send and each reply wait: a
+// hung ION gets its connection closed from our side, surfacing timed_out
+// instead of blocking the CN forever.
+//
+// Thread safety: a Client serializes its stream traffic internally, so it
+// may be shared; for concurrency, open one Client per application thread
+// (each with its own transport), mirroring one CN process per connection.
 #pragma once
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
@@ -73,6 +102,10 @@ struct ClientConfig {
   // Priority class stamped into every request header (clamped to
   // kMaxPriorityClass); only the `prio` scheduler orders by it.
   std::uint8_t priority = 0;
+  // Requests this connection may have awaiting their reply (values below 1
+  // count as 1). 1 = strict request/reply; larger windows pipeline through
+  // submit_*() / wait().
+  int window = 1;
 };
 
 // The forwarded-call surface a compute-node application programs against,
@@ -105,7 +138,8 @@ class ForwardingClient {
   // so decorator-style implementations need not care.
   virtual Status ping() { return {Errc::unsupported, "ping not supported"}; }
 
-  // True if the last write() was acknowledged as staged (async mode).
+  // True if the most recently reaped write reply was acknowledged as staged
+  // (async mode).
   [[nodiscard]] virtual bool last_write_was_staged() const = 0;
 
   // Point-in-time view of the client's "client.*" counters (DESIGN.md §11):
@@ -116,6 +150,14 @@ class ForwardingClient {
 
 class Client final : public ForwardingClient {
  public:
+  // A submitted request awaiting wait(). ReadTicket's result carries data.
+  struct Ticket {
+    std::uint64_t seq = 0;
+  };
+  struct ReadTicket {
+    std::uint64_t seq = 0;
+  };
+
   explicit Client(std::unique_ptr<ByteStream> stream, ClientConfig cfg = {},
                   StreamFactory factory = nullptr);
   ~Client() override;
@@ -132,6 +174,23 @@ class Client final : public ForwardingClient {
 
   Status shutdown() override;
   Status ping() override;
+
+  // Pipelined calls: send the request (reaping replies first if the window
+  // is full) and return without waiting for its reply. A request that could
+  // not be sent is settled with its error, which wait() returns.
+  Ticket submit_open(int fd, const std::string& path);
+  Ticket submit_write(int fd, std::uint64_t offset, std::span<const std::byte> data);
+  ReadTicket submit_read(int fd, std::uint64_t offset, std::uint64_t len);
+  Ticket submit_fsync(int fd);
+  Ticket submit_close(int fd);
+  // Block until the ticket's reply is in (reading and parking other
+  // tickets' replies meanwhile) and return its result. A ticket already
+  // waited on, or never issued, yields invalid_argument.
+  Status wait(Ticket t);
+  Result<std::vector<std::byte>> wait(ReadTicket t);
+
+  // Requests sent and still awaiting their reply (never above the window).
+  [[nodiscard]] std::size_t outstanding() const;
 
   [[nodiscard]] bool last_write_was_staged() const override { return last_staged_; }
 
@@ -151,18 +210,50 @@ class Client final : public ForwardingClient {
     FrameHeader header;
     std::vector<std::byte> payload;
   };
-  // Resilient roundtrip: one attempt on the live stream, then up to
-  // reconnect_attempts reconnect+replay passes for connection-level errors.
-  Result<Reply> roundtrip(FrameHeader req, std::span<const std::byte> payload);
-  // One framed request/reply exchange on the current stream (mu_ held).
+  // One submitted request, from submit until its ticket is waited on.
+  struct Pending {
+    FrameHeader req;                     // as submitted: seq set, unstamped
+    std::span<const std::byte> payload;  // caller-owned until wait()
+    std::string path;                    // open: owned copy, `payload` views it
+    int tries = 0;          // attempts spent: the first send plus each redial
+    bool reconnectable = false;
+    bool done = false;      // reply reaped (or request failed)
+    Status status;          // transport-level outcome once done
+    Reply reply;
+  };
+
+  // Register and send one request; returns its sequence number.
+  std::uint64_t submit(FrameHeader req, std::span<const std::byte> payload);
+  // Reap replies until `seq` is settled, then hand over its outcome.
+  Result<Reply> wait_reply(std::uint64_t seq);
+  Result<Reply> roundtrip(FrameHeader req, std::span<const std::byte> payload) {
+    return wait_reply(submit(req, payload));
+  }
+
+  // All of the below run with mu_ held.
+  // Stamp version, priority class and payload CRC, then write the frame.
+  Status send_frame_locked(FrameHeader h, std::span<const std::byte> payload);
+  // Read one reply frame off the stream and verify its payload CRC.
+  Result<Reply> read_reply_locked();
+  // One request/reply exchange with nothing else in flight (hello, open
+  // replay on a fresh connection).
   Result<Reply> roundtrip_once(FrameHeader req, std::span<const std::byte> payload);
+  // Read one reply and file it under its ticket; on failure, fail over.
+  void reap_one_locked();
+  // Mark `p` done with its outcome and apply the op's client-side effects.
+  void settle_locked(Pending& p, Status st, Reply reply = {});
+  // The connection failed with `why`: either redial, replay the opens and
+  // resend every request still awaiting its reply, or settle those requests
+  // with the error once they are out of tries (or cannot reconnect).
+  void fail_over_locked(Status why);
   // Establish a fresh stream via the factory (with backoff for `attempt`
-  // >= 1) and replay open() for every tracked descriptor. mu_ held.
+  // >= 1) and replay open() for every tracked descriptor.
   Status reconnect_locked(int attempt);
-  // Negotiate the wire version on a fresh connection (mu_ held): sends
-  // `hello` with max_wire_version and records the server's clamp. No-op
-  // when already negotiated or when configured as a v0 peer.
+  // Negotiate the wire version on a fresh connection: sends `hello` with
+  // max_wire_version and records the server's clamp. No-op when already
+  // negotiated or when configured as a v0 peer.
   Status hello_locked();
+  void drop_stream_locked();
   [[nodiscard]] static bool connection_lost(Errc e);
 
   // Roundtrip watchdog (lazily started when roundtrip_timeout_ms > 0).
@@ -170,6 +261,9 @@ class Client final : public ForwardingClient {
   void watchdog_arm();
   // Returns true if the watchdog killed the stream since the last arm.
   bool watchdog_disarm();
+  // Disarm after one guarded stream call: a failure the watchdog caused
+  // becomes timed_out.
+  Status watched(Status st);
 
   std::unique_ptr<ByteStream> stream_;
   ClientConfig cfg_;
@@ -177,7 +271,11 @@ class Client final : public ForwardingClient {
 
   mutable std::mutex mu_;
   std::uint64_t next_seq_ = 1;
-  bool last_staged_ = false;
+  std::map<std::uint64_t, Pending> pending_;  // seq -> request, oldest first
+  std::size_t in_flight_ = 0;                 // pending_ entries not yet done
+  // Staged flag of the most recently reaped write reply; read without mu_,
+  // which a waiting thread holds for as long as its reply takes.
+  std::atomic<bool> last_staged_{false};
   std::map<int, std::string> open_paths_;  // fd -> path, for reconnect replay
   bool hello_done_ = false;     // version negotiated on the current stream
   std::uint16_t neg_version_ = 0;

@@ -3,13 +3,14 @@
 // the queue-depth hysteresis that switches async staging to sync staging.
 #include <gtest/gtest.h>
 
-#include <future>
+#include <atomic>
+#include <condition_variable>
+#include <mutex>
 #include <thread>
 
 #include "bb/burst_buffer.hpp"
 #include "core/units.hpp"
 #include "fault/decorators.hpp"
-#include "rt/async_client.hpp"
 #include "rt/client.hpp"
 #include "rt/server.hpp"
 #include "testsupport/metrics.hpp"
@@ -109,42 +110,116 @@ TEST(Degradation, BurstBufferStallBoundWritesThrough) {
   EXPECT_TRUE(bbuf.close(1).is_ok());
 }
 
-TEST(Degradation, QueueDepthWatermarkForcesSyncStaging) {
-  // One worker, 30ms per backend write, 24 pipelined writes: the queue depth
-  // crosses the high watermark, so later writes must be staged synchronously
-  // (acknowledged only on completion) until the queue drains below the low
-  // watermark.
-  ClusterOptions o;
-  o.server.exec = rt::ExecModel::work_queue_async;
-  o.server.workers = 1;
-  o.server.degraded_high_watermark = 4;
-  o.server.degraded_low_watermark = 1;
-  o.clients = 0;  // the pipelined AsyncClient below is the only client
-  TestCluster tc(o);
-  tc.backend_plan().add({.op = OpKind::write,
-                         .probability = 1.0,
-                         .transient = false,
-                         .error = Errc::ok,
-                         .latency = 30'000us});
-
-  auto stream = tc.factory()();
-  ASSERT_TRUE(stream.is_ok());
-  rt::AsyncClient client(std::move(stream).value(), /*window=*/32);
-
-  ASSERT_TRUE(client.open(1, "q").get().is_ok());
-  const auto data = pattern(4_KiB, 6);
-  std::vector<std::future<Status>> futures;
-  for (int i = 0; i < 24; ++i) {
-    futures.push_back(client.write(1, static_cast<std::uint64_t>(i) * data.size(), data));
+// Holds the server's first backend write until release(). With one worker
+// parked on that write, a burst admitted behind it only grows the queue:
+// nothing drains it mid-burst however the host schedules the threads.
+class HeldFirstWrite final : public rt::IoBackend {
+ public:
+  // Blocks until the first write is parked in the backend.
+  void wait_held() {
+    std::unique_lock lock(mu_);
+    cv_.wait(lock, [&] { return held_; });
   }
-  for (auto& f : futures) EXPECT_TRUE(f.get().is_ok());
-  ASSERT_TRUE(client.fsync(1).get().is_ok());
+  void release() {
+    {
+      std::scoped_lock lock(mu_);
+      open_ = true;
+    }
+    cv_.notify_all();
+  }
 
-  const obs::Snapshot st = tc.server().metrics();
+  Status open(int fd, const std::string& path) override { return mem_.open(fd, path); }
+  Result<std::uint64_t> write(int fd, std::uint64_t offset,
+                              std::span<const std::byte> data) override {
+    if (!first_.exchange(true)) {
+      std::unique_lock lock(mu_);
+      held_ = true;
+      cv_.notify_all();
+      cv_.wait(lock, [&] { return open_; });
+    }
+    return mem_.write(fd, offset, data);
+  }
+  Result<std::uint64_t> read(int fd, std::uint64_t offset, std::span<std::byte> out) override {
+    return mem_.read(fd, offset, out);
+  }
+  Status fsync(int fd) override { return mem_.fsync(fd); }
+  Status close(int fd) override { return mem_.close(fd); }
+  Result<std::uint64_t> size(int fd) override { return mem_.size(fd); }
+
+ private:
+  rt::MemBackend mem_;
+  std::atomic<bool> first_{false};
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool held_ = false;
+  bool open_ = false;
+};
+
+// A single-worker async-staging server over HeldFirstWrite, driven by one
+// client with a 32-deep window.
+struct HeldWorker {
+  explicit HeldWorker(std::uint64_t low_watermark) {
+    rt::ServerConfig cfg;
+    cfg.exec = rt::ExecModel::work_queue_async;
+    cfg.workers = 1;
+    cfg.degraded_high_watermark = 4;
+    cfg.degraded_low_watermark = low_watermark;
+    auto backend = std::make_unique<HeldFirstWrite>();
+    gate = backend.get();
+    server = std::make_unique<rt::IonServer>(std::move(backend), cfg);
+    auto [s, c] = rt::InProcTransport::make_pair();
+    server->serve(std::move(s));
+    rt::ClientConfig ccfg;
+    ccfg.window = 32;
+    client = std::make_unique<rt::Client>(std::move(c), ccfg);
+  }
+  ~HeldWorker() { gate->release(); }  // never leave the worker parked
+
+  // Submit `n` writes of `data`: the first parks the worker, the rest go
+  // back to back behind it. Release the worker once the server has
+  // admitted all n (a staged ack or a sync-staged write each), then reap
+  // every ack. The worker must be parked before the rest arrive: it pops
+  // the queue in batches, and a batch popped mid-burst would empty it.
+  void burst(int n, const std::vector<std::byte>& data) {
+    const auto enqueued = [&] {
+      return counter(server->metrics(), "server.reply.enqueued");
+    };
+    const std::uint64_t base = enqueued();
+    std::vector<rt::Client::Ticket> tickets;
+    for (int i = 0; i < n; ++i) {
+      tickets.push_back(client->submit_write(1, static_cast<std::uint64_t>(i) * data.size(), data));
+      if (i == 0) gate->wait_held();
+    }
+    while (enqueued() - base + counter(server->metrics(), "server.degraded_sync_writes") <
+           static_cast<std::uint64_t>(n)) {
+      std::this_thread::sleep_for(1ms);
+    }
+    gate->release();
+    for (auto t : tickets) EXPECT_TRUE(client->wait(t).is_ok());
+  }
+
+  HeldFirstWrite* gate = nullptr;
+  std::unique_ptr<rt::IonServer> server;
+  std::unique_ptr<rt::Client> client;
+};
+
+TEST(Degradation, QueueDepthWatermarkForcesSyncStaging) {
+  // One worker held on the first backend write while 24 pipelined writes
+  // are admitted: the queue depth crosses the high watermark, so later
+  // writes must be staged synchronously (acknowledged only on completion)
+  // until the queue drains below the low watermark.
+  HeldWorker hw(/*low_watermark=*/1);
+  rt::Client& client = *hw.client;
+
+  ASSERT_TRUE(client.open(1, "q").is_ok());
+  hw.burst(24, pattern(4_KiB, 6));
+  ASSERT_TRUE(client.fsync(1).is_ok());
+
+  const obs::Snapshot st = hw.server->metrics();
   EXPECT_GE(counter(st, "server.degraded_enters"), 1u) << "queue depth never crossed the watermark";
   EXPECT_GE(counter(st, "server.degraded_sync_writes"), 1u);
   EXPECT_GT(counter(st, "server.degraded_ns"), 0u);
-  EXPECT_TRUE(client.close_fd(1).get().is_ok());
+  EXPECT_TRUE(client.close(1).is_ok());
 }
 
 TEST(Degradation, OpenDegradedSpanCountsOnEveryRead) {
@@ -152,42 +227,25 @@ TEST(Degradation, OpenDegradedSpanCountsOnEveryRead) {
   // staging it stays there (only an admitted write re-evaluates the depth).
   // server.degraded_ns must still advance with wall time on every read —
   // metrics() banks the open span — and never move backwards.
-  // The first write holds the single worker for 300ms, so the whole burst is
-  // admitted behind it: the depth climbs past the high watermark once and no
-  // admission sees the queue drained (workers pop in batches, so a
-  // per-write latency would let the depth fall to 0 mid-burst and leave
-  // degraded mode).
-  ClusterOptions o;
-  o.server.exec = rt::ExecModel::work_queue_async;
-  o.server.workers = 1;
-  o.server.degraded_high_watermark = 4;
-  o.server.degraded_low_watermark = 0;
-  o.clients = 0;
-  TestCluster tc(o);
-  tc.backend_plan().add({.op = OpKind::write, .nth = 1, .error = Errc::ok, .latency = 300'000us});
+  // The first write parks the single worker until the whole burst is
+  // admitted behind it: the depth climbs past the high watermark once and
+  // no admission sees the queue drained.
+  HeldWorker hw(/*low_watermark=*/0);
+  rt::Client& client = *hw.client;
+  ASSERT_TRUE(client.open(1, "q").is_ok());
+  hw.burst(12, pattern(4_KiB, 7));
+  ASSERT_TRUE(client.fsync(1).is_ok());
 
-  auto stream = tc.factory()();
-  ASSERT_TRUE(stream.is_ok());
-  rt::AsyncClient client(std::move(stream).value(), /*window=*/32);
-  ASSERT_TRUE(client.open(1, "q").get().is_ok());
-  const auto data = pattern(4_KiB, 7);
-  std::vector<std::future<Status>> futures;
-  for (int i = 0; i < 12; ++i) {
-    futures.push_back(client.write(1, static_cast<std::uint64_t>(i) * data.size(), data));
-  }
-  for (auto& f : futures) EXPECT_TRUE(f.get().is_ok());
-  ASSERT_TRUE(client.fsync(1).get().is_ok());
-
-  const obs::Snapshot first = tc.server().metrics();
+  const obs::Snapshot first = hw.server->metrics();
   ASSERT_EQ(counter(first, "server.degraded_enters"), 1u) << "the burst never degraded";
   std::this_thread::sleep_for(20ms);
-  const obs::Snapshot second = tc.server().metrics();
+  const obs::Snapshot second = hw.server->metrics();
   EXPECT_EQ(counter(second, "server.degraded_enters"), 1u) << "left degraded mode early";
   ASSERT_GE(counter(second, "server.degraded_ns"), counter(first, "server.degraded_ns"));
   EXPECT_GE(counter(second, "server.degraded_ns") - counter(first, "server.degraded_ns"),
             std::uint64_t{20'000'000})
       << "the open span did not reach the counter";
-  EXPECT_TRUE(client.close_fd(1).get().is_ok());
+  EXPECT_TRUE(client.close(1).is_ok());
 }
 
 }  // namespace

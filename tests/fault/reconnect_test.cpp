@@ -1,7 +1,11 @@
 // Client reconnect with idempotent replay: a connection cut mid-burst is
 // redialed through the StreamFactory, descriptors are re-opened, and the
-// failed op replays transparently.
+// failed op replays transparently — alone, or with every unacked request of
+// a pipelined window.
 #include <gtest/gtest.h>
+
+#include <string>
+#include <vector>
 
 #include "core/units.hpp"
 #include "fault/decorators.hpp"
@@ -135,6 +139,92 @@ TEST(Reconnect, ShutdownOpcodeNeverReconnects) {
   rt::Client client(std::move(cut), {}, std::move(counting));
   EXPECT_FALSE(client.shutdown().is_ok());
   EXPECT_EQ(dials, 0) << "a failed polite shutdown must not redial";
+}
+
+// Seeded 4 KiB payloads, one per write of a window.
+std::vector<std::vector<std::byte>> window_payloads(int n, std::uint64_t seed) {
+  std::vector<std::vector<std::byte>> v;
+  for (int i = 0; i < n; ++i) v.push_back(pattern(4_KiB, seed + static_cast<std::uint64_t>(i)));
+  return v;
+}
+
+// Waits every ticket, then checks that write i landed exactly at offset
+// i * 4 KiB — on the server and in a read-back through the client.
+void expect_window_landed(TestCluster& tc, rt::Client& client,
+                          const std::vector<rt::Client::Ticket>& tickets,
+                          const std::vector<std::vector<std::byte>>& data,
+                          const std::string& path) {
+  for (std::size_t i = 0; i < tickets.size(); ++i) {
+    EXPECT_TRUE(client.wait(tickets[i]).is_ok()) << "write " << i;
+  }
+  ASSERT_TRUE(client.fsync(1).is_ok());
+  std::vector<std::byte> want;
+  for (const auto& d : data) want.insert(want.end(), d.begin(), d.end());
+  EXPECT_EQ(tc.snapshot(path), want);
+  auto r = client.read(1, 0, want.size());
+  ASSERT_TRUE(r.is_ok()) << r.status().to_string();
+  EXPECT_EQ(r.value(), want);
+}
+
+TEST(Reconnect, CutInsideWindowReplaysUnackedWrites) {
+  // A 32-deep window of 4 KiB writes whose connection dies mid-payload of
+  // the 11th write, while none of the window's replies has been read: the
+  // redial must resend every unacked write in order.
+  TestCluster tc = cluster();
+  auto first = tc.factory()();
+  ASSERT_TRUE(first.is_ok());
+  constexpr std::uint64_t H = rt::FrameHeader::kWireSize;
+  // hello (H) + open "w" (H + 1) + 10 whole writes + half of the 11th.
+  auto cut = std::make_unique<FaultyStream>(std::move(first).value(),
+                                            2 * H + 1 + 10 * (H + 4_KiB) + H + 2_KiB);
+  rt::ClientConfig cfg;
+  cfg.window = 32;
+  cfg.reconnect_backoff_ms = 1;
+  rt::Client client(std::move(cut), cfg, tc.factory());
+  ASSERT_TRUE(client.open(1, "w").is_ok());
+
+  const auto data = window_payloads(32, 300);
+  std::vector<rt::Client::Ticket> tickets;
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    tickets.push_back(client.submit_write(1, i * 4_KiB, data[i]));
+  }
+  expect_window_landed(tc, client, tickets, data, "w");
+  const obs::Snapshot cs = client.metrics();
+  EXPECT_EQ(counter(cs, "client.reconnects"), 1u);
+  EXPECT_GE(counter(cs, "client.replays"), 1u);
+  EXPECT_EQ(counter(cs, "client.giveups"), 0u);
+}
+
+TEST(Reconnect, BouncedPayloadInsideWindowIsReplayed) {
+  // v1 window: one write's payload gets a bit flipped on the wire. The
+  // server bounces that write with checksum_error without executing it;
+  // the client counts the bounce, redials and resends the unacked tail.
+  TestCluster tc = cluster();
+  auto plan = std::make_shared<FaultPlan>();
+  // stream writes: hello header (1), open header + path (2, 3), then a
+  // header and a payload per write — call 13 is the 5th write's payload.
+  plan->add({.op = OpKind::stream_write, .action = FaultAction::bit_flip, .nth = 13});
+  auto first = tc.factory()();
+  ASSERT_TRUE(first.is_ok());
+  rt::ClientConfig cfg;
+  cfg.window = 32;
+  cfg.reconnect_backoff_ms = 1;
+  rt::Client client(std::make_unique<FaultyStream>(std::move(first).value(), plan), cfg,
+                    tc.factory());
+  ASSERT_TRUE(client.open(1, "b").is_ok());
+  ASSERT_EQ(client.negotiated_version(), rt::kProtoVersion);
+
+  const auto data = window_payloads(16, 400);
+  std::vector<rt::Client::Ticket> tickets;
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    tickets.push_back(client.submit_write(1, i * 4_KiB, data[i]));
+  }
+  expect_window_landed(tc, client, tickets, data, "b");
+  EXPECT_EQ(counter(tc.server().metrics(), "server.integrity.payload_crc_errors"), 1u);
+  const obs::Snapshot cs = client.metrics();
+  EXPECT_EQ(counter(cs, "client.integrity.request_bounces"), 1u);
+  EXPECT_GE(counter(cs, "client.replays"), 1u);
+  EXPECT_EQ(counter(cs, "client.giveups"), 0u);
 }
 
 }  // namespace
