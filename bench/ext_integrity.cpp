@@ -3,27 +3,34 @@
 // Protocol v1 checksums every frame. Per 256 KiB write the ION server pays
 // one payload CRC32C pass (verify) plus two header CRCs (decode request,
 // encode reply); the compute-node client pays the mirror image (stamp +
-// encode/decode). The gate budgets the *server-side* cost at <3% of the op,
-// because ION CPU is what bounds forwarding capacity in the paper's
-// architecture — the client stamp burns compute-node cycles, reported here
-// but not gated. This bench measures both sides of the ratio and fails
-// (exit 1) when the budget is blown, so CI gates regressions in the CRC
-// kernels or in how often the wire path runs them:
+// encode/decode). The gate budgets the *server-side* cost, because ION CPU
+// is what bounds forwarding capacity in the paper's architecture — the
+// client stamp burns compute-node cycles, reported here but not gated. The
+// bench fails (exit 1) when the budget is blown, so CI gates regressions in
+// the CRC kernels:
 //
 //   1. kernel cost — ns per 256 KiB CRC32C on the dispatched (hardware,
 //      when available) path and on the slicing-by-8 software fallback, so
 //      the table shows what the negotiation is buying on this machine;
-//   2. op cost — per-op wall time of 256 KiB writes through the real
-//      IonServer + Client with v1 negotiated (checksums on), best of reps;
-//   3. share — analytic per-op server integrity cost (1 payload + 2 header
-//      CRCs at the measured kernel speed) over the measured op cost. Using
-//      the dispatched kernel and the fastest op rep keeps the gate honest
-//      and stable; the v1-vs-v0 wall-clock delta and the combined
-//      client+server share are reported for reference but are too noisy /
-//      out of scope to gate on.
+//   2. copy floor — ns per 256 KiB memcpy, the per-byte work every staged
+//      write already pays once (the payload lands in a BML lease);
+//   3. gate — the server's integrity work per op (1 payload + 2 header CRCs
+//      at the dispatched speed) must cost at most kBudgetCopies payload
+//      copies. Both sides are tight-loop kernels timed in this process, so
+//      the gate moves only when the CRC kernel does: the software fallback
+//      (about 24 copies) and a hardware kernel that lost its three-way
+//      interleave (about 5) fail it, while the interleaved hardware kernel
+//      sits near 2.
+//
+// An earlier form of the gate divided the same CRC cost by the wall time of
+// a forwarded 256 KiB write (budget 3%). That denominator is a slow, noisy
+// server op: unchanged code failed 2 runs in 8, and a faster server made
+// the share larger. The op times are still measured and shown, with that
+// share and the v1-vs-v0 delta, for reference only.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <cstring>
 #include <memory>
 #include <vector>
 
@@ -39,7 +46,7 @@ namespace {
 
 using namespace iofwd;
 
-constexpr double kBudgetPct = 3.0;
+constexpr double kBudgetCopies = 4.0;
 constexpr std::uint64_t kChunk = 256_KiB;
 
 // Wire-path CRC mix per v1 write op, split by machine. Server (ION): verify
@@ -117,6 +124,12 @@ int main(int argc, char** argv) {
   const double hdr_ns = min_ns_per_iter(reps, crc_iters * 100, [&](int) {
     sink = sink + crc32c(hdr, rt::FrameHeader::kCrcCoverage);
   });
+  std::vector<std::byte> dst(kChunk);
+  const double copy_ns = min_ns_per_iter(reps, crc_iters, [&](int i) {
+    buf[0] = static_cast<std::byte>(i);
+    std::memcpy(dst.data(), buf.data(), buf.size());
+    asm volatile("" : : "r"(dst.data()) : "memory");  // the copy must happen
+  });
 
   const double op_v1_ns = server_ns_per_write(rt::kProtoVersion, writes, reps);
   const double op_v0_ns = server_ns_per_write(0, writes, reps);
@@ -125,6 +138,7 @@ int main(int argc, char** argv) {
       kServerPayloadCrcsPerOp * hw_ns + kServerHeaderCrcsPerOp * hdr_ns;
   const double total_integrity_ns =
       kTotalPayloadCrcsPerOp * hw_ns + kTotalHeaderCrcsPerOp * hdr_ns;
+  const double copies = server_integrity_ns / copy_ns;
   const double share_pct = 100.0 * server_integrity_ns / op_v1_ns;
   const double total_share_pct = 100.0 * total_integrity_ns / op_v1_ns;
   const double delta_pct = 100.0 * (op_v1_ns - op_v0_ns) / op_v0_ns;
@@ -138,22 +152,26 @@ int main(int argc, char** argv) {
         "ns/pass, " + std::to_string(static_cast<double>(kChunk) / sw_ns) + " GB/s");
   t.add("hw/sw speedup", sw_ns / hw_ns, "x (1.0 when no hw dispatch)");
   t.add("crc32c header (52 B)", hdr_ns, "ns/pass");
+  t.add("memcpy 256 KiB (copy floor)", copy_ns,
+        "ns/pass, " + std::to_string(static_cast<double>(kChunk) / copy_ns) + " GB/s");
+  t.add("server integrity / op", server_integrity_ns,
+        "ns: 1 payload + 2 header CRCs at dispatched speed");
+  t.add("server integrity in copies", copies, "payload copies, budget <= 4 (gated)");
   t.add("server write op (v1, checksummed)", op_v1_ns, "ns/op, best of reps");
   t.add("server write op (v0, unchecked)", op_v0_ns, "ns/op, best of reps");
   t.add("v1 vs v0 wall delta", delta_pct, "%, informational (noisy)");
-  t.add("server integrity / op", server_integrity_ns,
-        "ns: 1 payload + 2 header CRCs at dispatched speed");
-  t.add("server overhead share", share_pct, "% of v1 op, budget < 3% (gated)");
+  t.add("server overhead share", share_pct, "% of v1 op, informational (noisy)");
   t.add("client+server share", total_share_pct,
         "%, informational: adds the compute-node stamp");
   std::fputs(t.render().c_str(), stdout);
 
-  if (share_pct >= kBudgetPct) {
-    std::fprintf(stderr, "FAIL: server integrity overhead %.3f%% >= %.1f%% budget\n", share_pct,
-                 kBudgetPct);
+  if (copies > kBudgetCopies) {
+    std::fprintf(stderr,
+                 "FAIL: server integrity work %.2f payload copies > %.1f budget (%s dispatch)\n",
+                 copies, kBudgetCopies, crc32c_impl());
     return 1;
   }
-  std::printf("PASS: server integrity overhead %.3f%% < %.1f%% budget (%s dispatch)\n", share_pct,
-              kBudgetPct, crc32c_impl());
+  std::printf("PASS: server integrity work %.2f payload copies <= %.1f budget (%s dispatch)\n",
+              copies, kBudgetCopies, crc32c_impl());
   return 0;
 }

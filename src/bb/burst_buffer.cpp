@@ -628,8 +628,12 @@ void BurstBufferBackend::drain_locked(int fd, Desc& d) {
   // A successful flush keeps the extent cached (clean) — still staged, still
   // budgeted; only the failure path's evict removes bytes, captured by the
   // data_bytes delta.
+  // One ascending pass: each lookup resumes past the previous extent, so
+  // the failure path's evict never invalidates a live iterator.
   const std::uint64_t b0 = d.index.data_bytes();
-  while (Extent* e = d.index.largest_dirty()) {
+  std::uint64_t pos = 0;
+  while (Extent* e = d.index.next_dirty(pos)) {
+    pos = e->end();
     flush_extent(fd, d, *e);
   }
   budget_release(b0 - d.index.data_bytes());

@@ -151,6 +151,13 @@ Extent* ExtentIndex::largest_clean() {
   return best;
 }
 
+Extent* ExtentIndex::next_dirty(std::uint64_t from) {
+  for (auto it = extents_.lower_bound(from); it != extents_.end(); ++it) {
+    if (it->second.dirty) return &it->second;
+  }
+  return nullptr;
+}
+
 void ExtentIndex::mark_clean(Extent& e) {
   if (!e.dirty) return;
   e.dirty = false;

@@ -67,6 +67,9 @@ class ExtentIndex {
   // Flush/evict selection. Pointers stay valid until the next mutation.
   [[nodiscard]] Extent* largest_dirty();
   [[nodiscard]] Extent* largest_clean();
+  // The lowest-offset dirty extent starting at or after `from` (ascending
+  // drain order), or nullptr.
+  [[nodiscard]] Extent* next_dirty(std::uint64_t from);
 
   void mark_clean(Extent& e);
   // Remove the extent starting at `start` (the lease is released on return).

@@ -34,30 +34,65 @@ Status MemBackend::open(int fd, const std::string& path) {
   return Status::ok();
 }
 
+Result<std::shared_ptr<MemBackend::File>> MemBackend::find(int fd, bool wait) const {
+  std::shared_lock lock(mu_, std::defer_lock);
+  if (wait) {
+    lock.lock();
+  } else if (!lock.try_lock()) {
+    return Status(Errc::would_block, "table busy");
+  }
+  auto it = open_.find(fd);
+  if (it == open_.end()) return Status(Errc::bad_descriptor, "unknown fd");
+  return it->second;
+}
+
 Result<std::uint64_t> MemBackend::write(int fd, std::uint64_t offset,
                                         std::span<const std::byte> data) {
-  std::shared_ptr<File> file;
-  {
-    std::shared_lock lock(mu_);
-    auto it = open_.find(fd);
-    if (it == open_.end()) return Status(Errc::bad_descriptor, "unknown fd");
-    file = it->second;
-  }
-  std::unique_lock lock(mu_);  // file data guarded by the same lock
-  if (file->data.size() < offset + data.size()) file->data.resize(offset + data.size());
-  std::copy(data.begin(), data.end(), file->data.begin() + static_cast<std::ptrdiff_t>(offset));
+  auto file = find(fd, /*wait=*/true);
+  if (!file.is_ok()) return file.status();
+  File& f = *file.value();
+  std::unique_lock lock(f.mu);
+  if (f.data.size() < offset + data.size()) f.data.resize(offset + data.size());
+  std::copy(data.begin(), data.end(), f.data.begin() + static_cast<std::ptrdiff_t>(offset));
   return static_cast<std::uint64_t>(data.size());
 }
 
-Result<std::uint64_t> MemBackend::read(int fd, std::uint64_t offset, std::span<std::byte> out) {
-  std::shared_lock lock(mu_);
-  auto it = open_.find(fd);
-  if (it == open_.end()) return Status(Errc::bad_descriptor, "unknown fd");
-  const auto& data = it->second->data;
-  if (offset >= data.size()) return 0ull;
+Result<std::uint64_t> MemBackend::try_write(int fd, std::uint64_t offset,
+                                            std::span<const std::byte> data) {
+  auto file = find(fd, /*wait=*/false);
+  if (!file.is_ok()) return file.status();
+  File& f = *file.value();
+  std::unique_lock lock(f.mu, std::try_to_lock);
+  if (!lock.owns_lock()) return Status(Errc::would_block, "file busy");
+  if (f.data.size() < offset + data.size()) return Status(Errc::would_block, "grows file");
+  std::copy(data.begin(), data.end(), f.data.begin() + static_cast<std::ptrdiff_t>(offset));
+  return static_cast<std::uint64_t>(data.size());
+}
+
+namespace {
+std::uint64_t copy_out(const std::vector<std::byte>& data, std::uint64_t offset,
+                       std::span<std::byte> out) {
+  if (offset >= data.size()) return 0;
   const std::uint64_t n = std::min<std::uint64_t>(out.size(), data.size() - offset);
   std::copy_n(data.begin() + static_cast<std::ptrdiff_t>(offset), n, out.begin());
   return n;
+}
+}  // namespace
+
+Result<std::uint64_t> MemBackend::read(int fd, std::uint64_t offset, std::span<std::byte> out) {
+  auto file = find(fd, /*wait=*/true);
+  if (!file.is_ok()) return file.status();
+  std::shared_lock lock(file.value()->mu);
+  return copy_out(file.value()->data, offset, out);
+}
+
+Result<std::uint64_t> MemBackend::try_read(int fd, std::uint64_t offset,
+                                           std::span<std::byte> out) {
+  auto file = find(fd, /*wait=*/false);
+  if (!file.is_ok()) return file.status();
+  std::shared_lock lock(file.value()->mu, std::try_to_lock);
+  if (!lock.owns_lock()) return Status(Errc::would_block, "file busy");
+  return copy_out(file.value()->data, offset, out);
 }
 
 Status MemBackend::fsync(int fd) {
@@ -71,16 +106,22 @@ Status MemBackend::close(int fd) {
 }
 
 Result<std::uint64_t> MemBackend::size(int fd) {
-  std::shared_lock lock(mu_);
-  auto it = open_.find(fd);
-  if (it == open_.end()) return Status(Errc::bad_descriptor, "unknown fd");
-  return static_cast<std::uint64_t>(it->second->data.size());
+  auto file = find(fd, /*wait=*/true);
+  if (!file.is_ok()) return file.status();
+  std::shared_lock lock(file.value()->mu);
+  return static_cast<std::uint64_t>(file.value()->data.size());
 }
 
 std::vector<std::byte> MemBackend::snapshot(const std::string& path) const {
-  std::shared_lock lock(mu_);
-  auto it = by_path_.find(path);
-  return it != by_path_.end() ? it->second->data : std::vector<std::byte>{};
+  std::shared_ptr<File> file;
+  {
+    std::shared_lock lock(mu_);
+    auto it = by_path_.find(path);
+    if (it == by_path_.end()) return {};
+    file = it->second;
+  }
+  std::shared_lock lock(file->mu);
+  return file->data;
 }
 
 // ---------------------------------------------------------------------------

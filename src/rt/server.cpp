@@ -800,14 +800,15 @@ Status IonServer::consume_deferred(int fd, bool drain) {
   return st;
 }
 
-Result<std::uint64_t> IonServer::begin_staged(int fd) {
+Result<IonServer::Staged> IonServer::begin_staged(int fd) {
   std::scoped_lock lock(db_mu_);
   Status st = db_.consume_pending_error(fd);
   if (!st.is_ok()) {
     if (st.code() != Errc::bad_descriptor) c_deferred_errors_.inc();
     return st;
   }
-  return *db_.begin_op(fd);  // the gate passed, so fd is open
+  const bool alone = db_.in_flight(fd) == 0;
+  return Staged{*db_.begin_op(fd), alone};  // the gate passed, so fd is open
 }
 
 void IonServer::note_completed(int fd, std::uint64_t seq, const Status& st) {
@@ -1004,7 +1005,7 @@ void IonServer::handle_write(const std::shared_ptr<ClientConn>& conn, RxPending&
   // Deferred-error gate (async mode): surface the oldest unreported error
   // instead of executing this operation. The same db_mu_ hold begins the op
   // in the descriptor DB for the staged path below.
-  std::uint64_t seq = 0;
+  Staged staged;
   if (cfg_.exec == ExecModel::work_queue_async) {
     auto begun = begin_staged(req.fd);
     if (!begun.is_ok()) {
@@ -1012,7 +1013,7 @@ void IonServer::handle_write(const std::shared_ptr<ClientConn>& conn, RxPending&
       enqueue_reply(*conn, req, begun.status());
       return;
     }
-    seq = begun.value();
+    staged = begun.value();
   }
 
   Task t;
@@ -1034,37 +1035,51 @@ void IonServer::handle_write(const std::shared_ptr<ClientConn>& conn, RxPending&
   // Overload hysteresis: past the queue-depth high watermark, staged writes
   // are acknowledged at completion (sync staging) so clients self-throttle.
   ExecModel exec = cfg_.exec;
-  if (exec == ExecModel::work_queue_async && (throttled || degraded_now(queue_.size()))) {
+  const std::size_t queue_depth = queue_.size();
+  if (exec == ExecModel::work_queue_async && (throttled || degraded_now(queue_depth))) {
     exec = ExecModel::work_queue;
     c_degraded_sync_writes_.inc();
     // Acked at completion, so not a staged op: retire its seq unreported.
-    note_completed(req.fd, seq, Status::ok());
+    note_completed(req.fd, staged.seq, Status::ok());
   }
 
-  switch (exec) {
-    case ExecModel::thread_per_client:
-      execute_task(t, kInlineLane);  // inline, synchronous
-      break;
-    case ExecModel::work_queue:
-      t.reply_on_completion = true;
-      if (!queue_.push(std::move(t), meta)) {
-        enqueue_reply(*conn, req, Status(Errc::shutdown, "server stopping"));
-      }
-      break;
-    case ExecModel::work_queue_async: {
-      t.db_seq = seq;
-      t.record_in_db = true;
-      // Early acknowledgement: the application is unblocked as soon as the
-      // payload sits in the BML buffer.
-      enqueue_reply(*conn, req, Status::ok(), {}, /*staged=*/true);
-      if (!queue_.push(std::move(t), meta)) {
-        // Server stopping: mark the op completed so close-drain cannot hang.
-        note_completed(req.fd, seq, Status(Errc::shutdown, "server stopping"));
-      }
-      break;
+  if (exec == ExecModel::thread_per_client) {
+    execute_task(t, kInlineLane);  // inline, synchronous
+    return;
+  }
+  t.reply_on_completion = exec == ExecModel::work_queue;
+  t.record_in_db = exec == ExecModel::work_queue_async;
+  t.db_seq = staged.seq;
+
+  // Non-blocking fast path (DESIGN.md §13): when the backend can finish the
+  // write without waiting, finish it here and skip the queue handoff. Only
+  // when nothing could be overtaken — no other op of this descriptor in
+  // flight and no queued work of any tenant — and with no filter chain,
+  // whose copies are worker work. An op whose deadline already ran out
+  // queues, so a worker bounces it as before. The reply goes out after the
+  // attempt, so drain() and the fsync/close barriers keep their meaning.
+  if (staged.alone && filters_.empty() && queue_depth == 0 && !past_deadline(req, arrival)) {
+    auto r = backend_->try_write(req.fd, req.offset,
+                                 std::span<const std::byte>(t.payload.data(), req.payload_len));
+    if (r.is_ok() || r.code() != Errc::would_block) {
+      finish_task(t, r.is_ok() ? Status::ok() : r.status());
+      if (t.record_in_db) enqueue_reply(*conn, req, Status::ok(), {}, /*staged=*/true);
+      return;
     }
   }
-  if (tracer_ != nullptr && exec != ExecModel::thread_per_client) {
+
+  if (t.record_in_db) {
+    // Early acknowledgement: the application is unblocked as soon as the
+    // payload sits in the BML buffer.
+    enqueue_reply(*conn, req, Status::ok(), {}, /*staged=*/true);
+    if (!queue_.push(std::move(t), meta)) {
+      // Server stopping: mark the op completed so close-drain cannot hang.
+      note_completed(req.fd, staged.seq, Status(Errc::shutdown, "server stopping"));
+    }
+  } else if (!queue_.push(std::move(t), meta)) {
+    enqueue_reply(*conn, req, Status(Errc::shutdown, "server stopping"));
+  }
+  if (tracer_ != nullptr) {
     tracer_->counter("queue_depth", static_cast<double>(queue_.size()));
     tracer_->counter("bml_in_use", static_cast<double>(pool_.in_use()));
   }
@@ -1085,10 +1100,25 @@ void IonServer::handle_read(const std::shared_ptr<ClientConn>& conn, const Frame
   t.req = req;
   t.reply_on_completion = true;
   t.arrival = arrival;
-  const SchedMeta meta = sched_meta(*conn, req, arrival);
   if (cfg_.exec == ExecModel::thread_per_client) {
     execute_task(t, kInlineLane);
-  } else if (!queue_.push(std::move(t), meta)) {
+    return;
+  }
+  // Non-blocking fast path, as for writes: past the barrier nothing of this
+  // descriptor is in flight, so only queued work of others could be
+  // overtaken. The lease is taken without waiting too.
+  if (queue_.size() == 0 && !past_deadline(req, arrival)) {
+    if (auto buf = pool_.try_acquire(req.payload_len); buf.is_ok()) {
+      Buffer out = std::move(buf).value();
+      auto r = backend_->try_read(req.fd, req.offset,
+                                  std::span<std::byte>(out.data(), req.payload_len));
+      if (r.is_ok() || r.code() != Errc::would_block) {
+        finish_read(*conn, req, arrival, r, std::move(out));
+        return;
+      }
+    }
+  }
+  if (!queue_.push(std::move(t), sched_meta(*conn, req, arrival))) {
     enqueue_reply(*conn, req, Status(Errc::shutdown, "server stopping"));
   }
 }
@@ -1131,6 +1161,35 @@ Status IonServer::do_write(const FrameHeader& req, std::span<const std::byte> da
   return r.is_ok() ? Status::ok() : r.status();
 }
 
+void IonServer::finish_task(Task& t, const Status& st) {
+  t.payload.release();  // back to the BML pool as early as possible
+  // Observe before note_completed: completion releases fsync/close drain
+  // barriers, so recording first keeps op metrics and flight-recorder
+  // entries ordered before anything the barrier unblocks.
+  observe_op(t.req, t.arrival, st);
+  if (t.record_in_db) note_completed(t.req.fd, t.db_seq, st);
+  if (t.reply_on_completion || cfg_.exec == ExecModel::thread_per_client) {
+    enqueue_reply(*t.conn, t.req, st);
+  }
+}
+
+void IonServer::finish_read(ClientConn& conn, const FrameHeader& req,
+                            std::chrono::steady_clock::time_point arrival,
+                            const Result<std::uint64_t>& r, Buffer out) {
+  observe_op(req, arrival, r.status());
+  if (!r.is_ok()) {
+    enqueue_reply(conn, req, r.status());
+    return;
+  }
+  // The BML lease rides the queue with the reply: the backend read landed in
+  // `out`, the entry views it, and the pool gets the buffer back only after
+  // the kernel has gathered the last byte. No reply memcpy.
+  ReplyPayload p;
+  p.bytes = std::span<const std::byte>(out.data(), r.value());
+  p.bml = std::move(out);
+  enqueue_reply(conn, req, Status::ok(), std::move(p));
+}
+
 void IonServer::execute_task(Task& t, int lane) {
   std::optional<obs::RuntimeTracer::Span> sp;
   if (tracer_ != nullptr) sp.emplace(tracer_->span(opcode_name(t.req.op), "op", lane));
@@ -1138,17 +1197,8 @@ void IonServer::execute_task(Task& t, int lane) {
   // with timed_out without touching the backend. For async-staged writes the
   // bounce follows the deferred-error path (the staged ack already went out).
   if (past_deadline(t.req, t.arrival)) {
-    t.payload.release();
     c_deadline_expired_.inc();
-    const Status st(Errc::timed_out, "deadline expired in queue");
-    // Observe before note_completed: completion releases fsync/close drain
-    // barriers, so recording first keeps op metrics and flight-recorder
-    // entries ordered before anything the barrier unblocks.
-    observe_op(t.req, t.arrival, st);
-    if (t.record_in_db) note_completed(t.req.fd, t.db_seq, st);
-    if (t.reply_on_completion || cfg_.exec == ExecModel::thread_per_client) {
-      enqueue_reply(*t.conn, t.req, st);
-    }
+    finish_task(t, Status(Errc::timed_out, "deadline expired in queue"));
     return;
   }
   if (t.req.op == OpCode::write) {
@@ -1161,15 +1211,8 @@ void IonServer::execute_task(Task& t, int lane) {
     } else {
       st = do_write(t.req,
                     std::span<const std::byte>(t.payload.data(), t.req.payload_len));
-      t.payload.release();  // back to the BML pool as early as possible
     }
-    observe_op(t.req, t.arrival, st);  // before note_completed — see above
-    if (t.record_in_db) {
-      note_completed(t.req.fd, t.db_seq, st);
-    }
-    if (t.reply_on_completion || cfg_.exec == ExecModel::thread_per_client) {
-      enqueue_reply(*t.conn, t.req, st);
-    }
+    finish_task(t, st);
     return;
   }
   assert(t.req.op == OpCode::read);
@@ -1196,19 +1239,7 @@ void IonServer::execute_task(Task& t, int lane) {
   Buffer out = std::move(buf).value();
   auto r = backend_->read(t.req.fd, t.req.offset,
                           std::span<std::byte>(out.data(), t.req.payload_len));
-  if (!r.is_ok()) {
-    observe_op(t.req, t.arrival, r.status());
-    enqueue_reply(*t.conn, t.req, r.status());
-    return;
-  }
-  observe_op(t.req, t.arrival, Status::ok());
-  // The BML lease rides the queue with the reply: the backend read landed in
-  // `out`, the entry views it, and the pool gets the buffer back only after
-  // the kernel has gathered the last byte. No reply memcpy.
-  ReplyPayload p;
-  p.bytes = std::span<const std::byte>(out.data(), r.value());
-  p.bml = std::move(out);
-  enqueue_reply(*t.conn, t.req, Status::ok(), std::move(p));
+  finish_read(*t.conn, t.req, t.arrival, r, std::move(out));
 }
 
 }  // namespace iofwd::rt

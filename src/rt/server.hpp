@@ -18,6 +18,11 @@
 //     in-flight writes (read barrier), so read-after-write is consistent.
 //   * Overlapping async writes to the same region may complete in any
 //     order (as with POSIX AIO).
+//   * A staged write or a read that the backend can finish without waiting
+//     (IoBackend::try_write/try_read) completes on the receiver lane, when
+//     no op of its descriptor is in flight and the work queue is empty;
+//     it replies, records and defers errors exactly as a worker would
+//     (DESIGN.md §13).
 //   * A deferred error is returned by the next operation on the
 //     descriptor, which is then NOT executed; the error is consumed.
 //   * With the burst buffer enabled (ServerConfig::bb_bytes > 0), staged
@@ -329,6 +334,13 @@ class IonServer {
 
   void worker_loop(int lane);
   void execute_task(Task& t, int lane);
+  // The completion half of execute_task, shared with the lanes' non-blocking
+  // fast path: release the lease, observe, retire the op in the descriptor
+  // DB (async) and reply (sync).
+  void finish_task(Task& t, const Status& st);
+  void finish_read(ClientConn& conn, const FrameHeader& req,
+                   std::chrono::steady_clock::time_point arrival,
+                   const Result<std::uint64_t>& r, Buffer out);
   // Apply the filter chain (if any) and issue the backend write.
   Status do_write(const FrameHeader& req, std::span<const std::byte> data);
   // True if the op's deadline budget has run out (deadline_ms > 0 only).
@@ -393,9 +405,14 @@ class IonServer {
   // With `drain`, first wait (in the same db_mu_ hold) until no op on fd is
   // in flight — the read, fsync and fstat barrier.
   Status consume_deferred(int fd, bool drain = false);
-  // The staged write's gate and begin_op in one db_mu_ hold: the op's seq,
-  // or the status it must bounce with.
-  Result<std::uint64_t> begin_staged(int fd);
+  // The staged write's gate and begin_op in one db_mu_ hold: the op's seq
+  // and whether no other op on fd was in flight, or the status it must
+  // bounce with.
+  struct Staged {
+    std::uint64_t seq = 0;
+    bool alone = true;
+  };
+  Result<Staged> begin_staged(int fd);
   void note_completed(int fd, std::uint64_t seq, const Status& st);
 
   std::unique_ptr<IoBackend> backend_;

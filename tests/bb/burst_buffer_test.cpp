@@ -208,6 +208,64 @@ TEST(BurstBuffer, FsyncDrainsOnlyThatDescriptor) {
   EXPECT_EQ(fx.mem->snapshot("b").size(), 4_KiB);
 }
 
+// Records every write that reaches it; a write at `fail_at` fails with EIO.
+class RecordingBackend final : public rt::IoBackend {
+ public:
+  Status open(int fd, const std::string& path) override { return mem_.open(fd, path); }
+  Result<std::uint64_t> write(int fd, std::uint64_t offset,
+                              std::span<const std::byte> data) override {
+    writes.emplace_back(offset, data.size());
+    if (offset == fail_at) return Status(Errc::io_error, "injected");
+    return mem_.write(fd, offset, data);
+  }
+  Result<std::uint64_t> read(int fd, std::uint64_t offset, std::span<std::byte> out) override {
+    return mem_.read(fd, offset, out);
+  }
+  Status fsync(int fd) override { return mem_.fsync(fd); }
+  Status close(int fd) override { return mem_.close(fd); }
+  Result<std::uint64_t> size(int fd) override { return mem_.size(fd); }
+
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> writes;  // (offset, len)
+  std::uint64_t fail_at = ~0ull;
+
+ private:
+  MemBackend mem_;
+};
+
+TEST(BurstBuffer, DrainWritesEachDirtyExtentOnceInAscendingOrder) {
+  auto owned = std::make_unique<RecordingBackend>();
+  RecordingBackend& rec = *owned;
+  BurstBufferBackend bbuf(std::move(owned), quiet_config());
+  ASSERT_TRUE(bbuf.open(1, "f").is_ok());
+  // 16 disjoint extents of 1-4 KiB (8 KiB stride, so none merge), staged in
+  // a scrambled order; the one at 40 KiB fails its flush. Sizes differ so a
+  // largest-first drain would show up as a different order.
+  constexpr std::uint64_t kStride = 8_KiB;
+  const auto len_of = [](std::uint64_t slot) { return (1 + (slot * 5) % 4) * 1_KiB; };
+  rec.fail_at = 5 * kStride;
+  for (std::uint64_t i = 0; i < 16; ++i) {
+    const std::uint64_t slot = (i * 7) % 16;
+    ASSERT_TRUE(bbuf.write(1, slot * kStride, pattern(len_of(slot), slot)).is_ok());
+  }
+  EXPECT_EQ(bbuf.fsync(1).code(), Errc::io_error) << "the failed flush surfaces on the drain";
+  ASSERT_EQ(rec.writes.size(), 16u) << "every dirty extent written exactly once";
+  for (std::uint64_t i = 0; i < 16; ++i) {
+    EXPECT_EQ(rec.writes[i].first, i * kStride) << "ascending offset order";
+    EXPECT_EQ(rec.writes[i].second, len_of(i));
+  }
+
+  // Flushed extents stay cached clean: a second drain writes only what was
+  // dirtied since, still in ascending order.
+  rec.writes.clear();
+  ASSERT_TRUE(bbuf.write(1, 9 * kStride, pattern(4_KiB, 99)).is_ok());
+  ASSERT_TRUE(bbuf.write(1, 3 * kStride, pattern(4_KiB, 98)).is_ok());
+  ASSERT_TRUE(bbuf.fsync(1).is_ok());
+  ASSERT_EQ(rec.writes.size(), 2u);
+  EXPECT_EQ(rec.writes[0].first, 3 * kStride);
+  EXPECT_EQ(rec.writes[1].first, 9 * kStride);
+  ASSERT_TRUE(bbuf.close(1).is_ok());
+}
+
 TEST(BurstBuffer, ReadMixesCachedExtentsAndBackendHoles) {
   Fixture fx(quiet_config());
   ASSERT_TRUE(fx.bbuf.open(1, "f").is_ok());
